@@ -124,8 +124,17 @@ class JordanSpec:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "JordanSpec":
-        blocks = data["blocks"]
-        return cls((parse(b["eigenvalue"]), int(b["size"])) for b in blocks)
+        """Strict reader: eigenvalues are scalar text and sizes are JSON
+        integers; nothing else is coerced."""
+        blocks = []
+        for b in data["blocks"]:
+            eig, size = b["eigenvalue"], b["size"]
+            if not isinstance(eig, str):
+                raise ValueError(f"eigenvalue must be a string, got {eig!r}")
+            if not isinstance(size, int) or isinstance(size, bool):
+                raise ValueError(f"block size must be an integer, got {size!r}")
+            blocks.append((parse(eig), size))
+        return cls(blocks)
 
 
 def jordan_block(eigenvalue, size: int) -> ExactMatrix:

@@ -136,7 +136,7 @@ def cmd_witness(args) -> int:
     except reversal.NotReversibleError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 2
-    report = verify.check_witness(bundle.a, bundle.g)
+    report = bundle.report
     payload = {
         "spec": spec.to_json_dict(),
         "mode": mode,

@@ -1,4 +1,5 @@
-"""Dense exact matrices over the Gaussian rationals.
+"""Dense exact matrices over the Gaussian rationals, and the exact check of
+a candidate reverser.
 
 Matrices are immutable values; all operations return fresh results, so a
 verification transcript built from them cannot be invalidated later.
@@ -6,6 +7,7 @@ verification transcript built from them cannot be invalidated later.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -15,6 +17,8 @@ __all__ = [
     "ExactMatrix",
     "PermutationMap",
     "SingularMatrixError",
+    "VerificationReport",
+    "check_witness",
     "direct_sum",
 ]
 
@@ -359,3 +363,64 @@ class PermutationMap:
             for j in range(n):
                 target[img0[j]] = arow[j]
         return ExactMatrix(grid)
+
+
+@dataclass(frozen=True)
+class VerificationReport:
+    """Exact facts about a candidate reverser g of a matrix a.
+
+    ``residuals`` lists, per failed matrix check, the first differing entry
+    position (1-based), or None when the check failed without a comparable
+    position (singular g).
+    """
+
+    reverses: bool
+    involution: bool
+    determinant: GaussianRational
+    in_special: bool
+    residuals: tuple[tuple[str, tuple[int, int] | None], ...]
+
+    def all_good(self) -> bool:
+        return self.reverses and self.involution and self.in_special
+
+    def to_json_dict(self) -> dict:
+        return {
+            "reverses": self.reverses,
+            "involution": self.involution,
+            "determinant": str(self.determinant),
+            "in_special": self.in_special,
+            "residuals": [
+                {"check": name, "position": list(pos) if pos else None}
+                for name, pos in self.residuals
+            ],
+        }
+
+
+def check_witness(a: ExactMatrix, g: ExactMatrix) -> VerificationReport:
+    """Decide g a g^{-1} == a^{-1}, g^2 == I and det g exactly.
+
+    For invertible a and g the reversal identity is equivalent to
+    a g a == g, so a passing check inverts nothing.  Only a failed reversal
+    check inverts both matrices, to report the first entry where
+    g a g^{-1} and a^{-1} differ.
+    """
+    if not a.is_square() or not g.is_square() or a.rows != g.rows:
+        raise ValueError("dimension mismatch between matrix and candidate reverser")
+    if not a.det():
+        raise SingularMatrixError("matrix is singular")
+    residuals: list[tuple[str, tuple[int, int] | None]] = []
+    det = g.det()
+    if not det:
+        reverses = False
+        residuals.append(("reverses", None))
+    else:
+        ga = g * a
+        reverses = a * ga == g
+        if not reverses:
+            i, j = (ga * g.inverse()).first_difference(a.inverse())
+            residuals.append(("reverses", (i + 1, j + 1)))
+    pos = (g * g).first_difference(ExactMatrix.identity(g.rows))
+    involution = pos is None
+    if pos is not None:
+        residuals.append(("involution", (pos[0] + 1, pos[1] + 1)))
+    return VerificationReport(reverses, involution, det, det == ONE, tuple(residuals))

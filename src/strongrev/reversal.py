@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .canonical import JordanSpec, jordan_matrix, sample_centralizer, weyr_form
-from .matrices import ExactMatrix, direct_sum
+from .matrices import ExactMatrix, VerificationReport, check_witness, direct_sum
 from .partitions import Partition, binomial, parity_sets
 from .scalars import GaussianRational, MINUS_ONE, ONE, ZERO
 from .scalars import I as IMAGINARY
@@ -179,13 +179,13 @@ def involution_reverser(mu, n: int) -> ExactMatrix:
 
 def pair_reverser(eigenvalue, n: int) -> ExactMatrix:
     """Antidiagonal block involution reversing J(lam, n) + J(1/lam, n):
-    R(lam, n) sits top right and its inverse bottom left.  Its determinant
-    is (-1)^n."""
+    R(lam, n) sits top right and its inverse R(1/lam, n) bottom left.  Its
+    determinant is (-1)^n."""
     lam = _scalar(eigenvalue)
     if lam == ONE or lam == MINUS_ONE or not lam:
         raise ValueError("pair_reverser needs an eigenvalue other than 0, +1, -1")
     top = jordan_reverser(lam, n)
-    bottom = top.inverse()
+    bottom = jordan_reverser(lam.inverse(), n)
     grid = [[ZERO] * (2 * n) for _ in range(2 * n)]
     for i in range(n):
         for j in range(n):
@@ -247,14 +247,25 @@ class DetSignPrediction:
 
 @dataclass(frozen=True)
 class WitnessBundle:
-    """A reverser g for the Jordan matrix a, with exactly verified flags."""
+    """A reverser g for the Jordan matrix a, with the report of its one
+    exact verification."""
 
     a: ExactMatrix
     g: ExactMatrix
-    reverses: bool
-    is_involution: bool
-    determinant: GaussianRational
+    report: VerificationReport
     transcript: tuple[str, ...]
+
+    @property
+    def reverses(self) -> bool:
+        return self.report.reverses
+
+    @property
+    def is_involution(self) -> bool:
+        return self.report.involution
+
+    @property
+    def determinant(self) -> GaussianRational:
+        return self.report.determinant
 
 
 def pair_blocks(spec: JordanSpec) -> ReversibilityReport:
@@ -373,18 +384,16 @@ def _verified_bundle(
     spec: JordanSpec, g: ExactMatrix, transcript: list[str], require_involution: bool
 ) -> WitnessBundle:
     a = jordan_matrix(spec)
-    det = g.det()
-    if not det:
-        raise RuntimeError("internal error: constructed reverser is singular")
-    reverses = g * a == a.inverse() * g
-    is_involution = (g * g).is_identity()
-    if not reverses or det != ONE or (require_involution and not is_involution):
+    report = check_witness(a, g)
+    if not report.reverses or not report.in_special or (
+        require_involution and not report.involution
+    ):
         raise RuntimeError(
             "internal error: constructed witness failed verification "
-            f"(reverses={reverses}, involution={is_involution}, det={det}); "
-            "transcript: " + "; ".join(transcript)
+            f"(reverses={report.reverses}, involution={report.involution}, "
+            f"det={report.determinant}); transcript: " + "; ".join(transcript)
         )
-    return WitnessBundle(a, g, reverses, is_involution, det, tuple(transcript))
+    return WitnessBundle(a, g, report, tuple(transcript))
 
 
 def involutive_witness(spec: JordanSpec) -> WitnessBundle:
@@ -538,7 +547,7 @@ def sample_reverser(spec: JordanSpec, seed: int) -> ExactMatrix:
     weyr_level = centralizer * base_reverser
     result = wf.permutation.inverse().conjugate(weyr_level)
     a = jordan_matrix(spec)
-    if result * a != a.inverse() * result:
+    if a * (result * a) != result:
         raise RuntimeError(
             f"internal error: sampled matrix fails to reverse the spec {spec!r}"
         )

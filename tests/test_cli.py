@@ -1,6 +1,8 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from strongrev.cli import main
 from strongrev.canonical import JordanSpec, jordan_matrix
 from strongrev.matrices import ExactMatrix
@@ -197,6 +199,24 @@ class TestWeyr:
         assert code == 0
         assert "Weyr structure [3, 3, 2, 2]" in out
         assert "[][][]" in out
+
+
+class TestMalformedSpec:
+    @pytest.mark.parametrize(
+        "block",
+        [
+            pytest.param({"eigenvalue": 2, "size": 2}, id="numeric-eigenvalue"),
+            pytest.param({"eigenvalue": "1", "size": 2.5}, id="fractional-size"),
+            pytest.param({"eigenvalue": "1", "size": True}, id="boolean-size"),
+        ],
+    )
+    def test_rejected_with_exit_3(self, tmp_path, capsys, block):
+        path = write_json(tmp_path / "bad.json", {"blocks": [block]})
+        for command in ("classify", "witness", "weyr"):
+            assert main([command, "--input", path, "--format", "json"]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "invalid Jordan spec" in captured.err
 
 
 class TestSelftest:

@@ -104,6 +104,43 @@ class TestBundlesReverify:
             assert report.reverses and report.determinant == ONE
             assert report.involution == bundle.is_involution
 
+    @pytest.mark.parametrize(
+        "construct, blocks",
+        [
+            (involutive_witness, [(G(1), 3), (G(2), 2), (HALF, 2)]),
+            (sl_reverser_witness, [(G(1), 2), (G(2), 2), (HALF, 2)]),
+        ],
+    )
+    def test_bundle_carries_its_report(self, construct, blocks):
+        bundle = construct(JordanSpec(blocks))
+        assert bundle.report == check_witness(bundle.a, bundle.g)
+
+
+class TestInverseFreeVerification:
+    SPEC = JordanSpec([(G(1), 3), (G(2), 2), (HALF, 2)])
+
+    def test_passing_path_inverts_nothing(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("inverse() called on the passing path")
+
+        monkeypatch.setattr(ExactMatrix, "inverse", refuse)
+        for construct in (involutive_witness, sl_reverser_witness):
+            bundle = construct(self.SPEC)
+            assert bundle.report.all_good()
+            assert check_witness(bundle.a, bundle.g).all_good()
+        bundle = sl_reverser_witness(JordanSpec([(G(1), 2)]))
+        assert bundle.reverses and not bundle.is_involution
+
+    def test_failing_residual_position_is_unchanged(self):
+        # g A g^{-1} vs A^{-1} first differs at (1, 6); A g A vs g would
+        # differ at (1, 1), so the reported position keeps the original formula
+        bundle = involutive_witness(self.SPEC)
+        rows = [list(row) for row in bundle.g.entries]
+        rows[0][0] = rows[0][0] + 1
+        report = check_witness(bundle.a, ExactMatrix(rows))
+        assert not report.reverses
+        assert report.residuals[0] == ("reverses", (1, 6))
+
 
 class TestSpecGenerator:
     def test_exhaustive_counts_two_colors(self):
