@@ -13,9 +13,9 @@ import random
 from dataclasses import dataclass
 from typing import Iterable
 
-from .matrices import ExactMatrix, PermutationMap, direct_sum
+from .matrices import ExactMatrix, PermutationMap, direct_sum, inflate, offsets
 from .partitions import Partition
-from .scalars import GaussianRational, ONE, ZERO, parse
+from .scalars import GaussianRational, ONE, ZERO, as_scalar, parse
 
 __all__ = [
     "JordanSpec",
@@ -34,12 +34,7 @@ CENTRALIZER_COEFF_RANGE = 3
 CENTRALIZER_SAMPLE_ATTEMPTS = 64
 
 
-def _as_scalar(value) -> GaussianRational:
-    if isinstance(value, GaussianRational):
-        return value
-    return GaussianRational(value)
-
-
+@dataclass(frozen=True, slots=True)
 class JordanSpec:
     """Multiset of (eigenvalue, block size) pairs naming a conjugacy class.
 
@@ -48,12 +43,12 @@ class JordanSpec:
     conjugacy classes always produce equal specs.
     """
 
-    __slots__ = ("blocks",)
+    blocks: tuple[tuple[GaussianRational, int], ...]
 
     def __init__(self, blocks: Iterable[tuple]):
         normalized = []
         for eig, size in blocks:
-            eig = _as_scalar(eig)
+            eig = as_scalar(eig)
             size = int(size)
             if not eig:
                 raise ValueError("eigenvalues must be nonzero (the matrix is invertible)")
@@ -65,33 +60,13 @@ class JordanSpec:
         normalized.sort(key=lambda b: (b[0].sort_key, -b[1]))
         object.__setattr__(self, "blocks", tuple(normalized))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("JordanSpec is immutable")
-
     @property
     def n(self) -> int:
         return sum(size for _, size in self.blocks)
 
-    def __eq__(self, other):
-        if not isinstance(other, JordanSpec):
-            return NotImplemented
-        return self.blocks == other.blocks
-
-    def __hash__(self):
-        return hash(self.blocks)
-
     def __repr__(self) -> str:
         inner = ", ".join(f"({eig}, {size})" for eig, size in self.blocks)
         return f"JordanSpec([{inner}])"
-
-    def block_offsets(self) -> tuple[int, ...]:
-        """Starting row of each block inside the Jordan matrix."""
-        offs = []
-        total = 0
-        for _, size in self.blocks:
-            offs.append(total)
-            total += size
-        return tuple(offs)
 
     def eigenvalues(self) -> tuple[GaussianRational, ...]:
         """Distinct eigenvalues in canonical order."""
@@ -112,7 +87,7 @@ class JordanSpec:
         return tuple((eig, Partition(sizes)) for eig, sizes in out)
 
     def multiplicity(self, eigenvalue) -> int:
-        eigenvalue = _as_scalar(eigenvalue)
+        eigenvalue = as_scalar(eigenvalue)
         return sum(size for eig, size in self.blocks if eig == eigenvalue)
 
     def to_json_dict(self) -> dict:
@@ -128,18 +103,16 @@ class JordanSpec:
         integers; nothing else is coerced."""
         blocks = []
         for b in data["blocks"]:
-            eig, size = b["eigenvalue"], b["size"]
-            if not isinstance(eig, str):
-                raise ValueError(f"eigenvalue must be a string, got {eig!r}")
+            size = b["size"]
             if not isinstance(size, int) or isinstance(size, bool):
                 raise ValueError(f"block size must be an integer, got {size!r}")
-            blocks.append((parse(eig), size))
+            blocks.append((parse(b["eigenvalue"]), size))
         return cls(blocks)
 
 
 def jordan_block(eigenvalue, size: int) -> ExactMatrix:
     """J(lam, m): lam on the diagonal, 1 on the superdiagonal."""
-    lam = _as_scalar(eigenvalue)
+    lam = as_scalar(eigenvalue)
     grid = [[ZERO] * size for _ in range(size)]
     for i in range(size):
         grid[i][i] = lam
@@ -167,42 +140,24 @@ class WeyrStructure:
         if any(sizes[i] < sizes[i + 1] for i in range(len(sizes) - 1)):
             raise ValueError("sizes must be weakly decreasing")
         object.__setattr__(self, "sizes", sizes)
-        object.__setattr__(self, "eigenvalue", _as_scalar(self.eigenvalue))
+        object.__setattr__(self, "eigenvalue", as_scalar(self.eigenvalue))
 
     @property
     def n(self) -> int:
         return sum(self.sizes)
 
-    def offsets(self) -> tuple[int, ...]:
-        offs = []
-        total = 0
-        for s in self.sizes:
-            offs.append(total)
-            total += s
-        return tuple(offs)
-
 
 def basic_weyr_matrix(w: WeyrStructure) -> ExactMatrix:
     """Scalar diagonal blocks lam*I, reduced-echelon identity superdiagonal
-    blocks (an identity atop zero rows), zeros elsewhere."""
-    n = w.n
-    offs = w.offsets()
-    lam = w.eigenvalue
-    grid = [[ZERO] * n for _ in range(n)]
-    for b, size in enumerate(w.sizes):
-        for t in range(size):
-            grid[offs[b] + t][offs[b] + t] = lam
-        if b + 1 < len(w.sizes):
-            # superdiagonal block is I_{n_b, n_{b+1}}: n_{b+1} <= n_b
-            for t in range(w.sizes[b + 1]):
-                grid[offs[b] + t][offs[b + 1] + t] = ONE
-    return ExactMatrix(grid)
+    blocks (an identity atop zero rows), zeros elsewhere: J(lam, r) inflated
+    to the structure's block sizes."""
+    return inflate(jordan_block(w.eigenvalue, len(w.sizes)), w.sizes)
 
 
 def homogeneous_weyr(eigenvalue, k: int, m: int) -> ExactMatrix:
     """Basic Weyr matrix with structure (k, ..., k), m repeats: an m x m block
     grid with lam*I_k on the diagonal and true I_k on the superdiagonal."""
-    return basic_weyr_matrix(WeyrStructure(_as_scalar(eigenvalue), (k,) * m))
+    return basic_weyr_matrix(WeyrStructure(eigenvalue, (k,) * m))
 
 
 @dataclass(frozen=True)
@@ -224,36 +179,22 @@ def weyr_form(spec: JordanSpec) -> WeyrForm:
     column-major.  The result is verified by explicit conjugation before it
     is returned.
     """
-    structures: list[WeyrStructure] = []
-    weyr_blocks: list[ExactMatrix] = []
-    n = spec.n
-    images = [0] * n
-    base = 0
-    for eig, jordan_partition in spec.structures():
-        conj = jordan_partition.conjugate()
-        w = WeyrStructure(eig, conj.parts)
-        structures.append(w)
-        weyr_blocks.append(basic_weyr_matrix(w))
-        col_counts = conj.parts
-        col_prefix = [0]
-        for c in col_counts:
-            col_prefix.append(col_prefix[-1] + c)
-        row_offset = 0
+    jordan = spec.structures()
+    structures = tuple(WeyrStructure(eig, p.conjugate().parts) for eig, p in jordan)
+    images: list[int] = []
+    bases = offsets(w.n for w in structures)
+    for (_, jordan_partition), w, base in zip(jordan, structures, bases):
+        column_starts = offsets(w.sizes)
         for i, row_len in enumerate(jordan_partition.parts):
-            for j in range(row_len):
-                jordan_index = base + row_offset + j
-                weyr_index = base + col_prefix[j] + i
-                images[jordan_index] = weyr_index + 1
-            row_offset += row_len
-        base += jordan_partition.total
-    matrix = direct_sum(weyr_blocks)
+            images.extend(base + column_starts[j] + i + 1 for j in range(row_len))
+    matrix = direct_sum([basic_weyr_matrix(w) for w in structures])
     perm = PermutationMap(images)
     if perm.conjugate(jordan_matrix(spec)) != matrix:
         raise RuntimeError(
             "internal error: duality permutation does not carry the Jordan "
             f"matrix onto the Weyr matrix for {spec!r}"
         )
-    return WeyrForm(matrix, tuple(structures), perm)
+    return WeyrForm(matrix, structures, perm)
 
 
 def matches_centralizer_pattern(w: WeyrStructure, m: ExactMatrix) -> bool:
@@ -268,7 +209,7 @@ def matches_centralizer_pattern(w: WeyrStructure, m: ExactMatrix) -> bool:
     if m.rows != n or m.cols != n:
         raise ValueError("matrix size does not match the Weyr structure")
     sizes = w.sizes
-    offs = w.offsets()
+    offs = offsets(sizes)
     r = len(sizes)
     # block lower triangle must vanish
     for bi in range(r):
@@ -320,15 +261,10 @@ def _random_pattern_matrix(w: WeyrStructure, rng: random.Random) -> ExactMatrix:
                 for cc in range(sizes[j + 1]):
                     block[rr][cc] = ZERO
             blocks[(i, j)] = block
-    n = w.n
-    offs = w.offsets()
-    grid = [[ZERO] * n for _ in range(n)]
-    for (bi, bj), block in blocks.items():
-        for i, row in enumerate(block):
-            target = grid[offs[bi] + i]
-            for j, value in enumerate(row):
-                target[offs[bj] + j] = value
-    return ExactMatrix(grid)
+    offs = offsets(sizes)
+    return ExactMatrix.from_blocks(
+        w.n, [(offs[bi], offs[bj], ExactMatrix(block)) for (bi, bj), block in blocks.items()]
+    )
 
 
 def sample_centralizer(w: WeyrStructure, seed: int) -> ExactMatrix:

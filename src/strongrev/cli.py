@@ -2,7 +2,8 @@
 
 Subcommands: classify, witness, verify, weyr, selftest.  Input is Jordan
 data as JSON except for ``verify``, which takes raw matrices.  Exit codes
-encode the mathematical verdict, never the formatting.
+encode the mathematical verdict, never the formatting: 0, 1 and 2 are
+verdicts, 3 is a usage or input error and 4 an internal error.
 """
 
 from __future__ import annotations
@@ -292,13 +293,24 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 0 after --help and 2 on a usage error; 2 is a verdict
+        return 0 if exc.code == 0 else 3
     try:
         return args.func(args)
     except CliInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return 4
 
 
 def entrypoint() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -7,11 +7,11 @@ verification transcript built from them cannot be invalidated later.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .scalars import GaussianRational, ONE, ZERO, parse
+from .scalars import GaussianRational, ONE, ZERO, as_scalar, parse
 
 __all__ = [
     "ExactMatrix",
@@ -20,6 +20,8 @@ __all__ = [
     "VerificationReport",
     "check_witness",
     "direct_sum",
+    "inflate",
+    "offsets",
 ]
 
 
@@ -27,21 +29,22 @@ class SingularMatrixError(ArithmeticError):
     """Inversion was asked of a matrix with determinant zero."""
 
 
-def _entry(value) -> GaussianRational:
-    if isinstance(value, GaussianRational):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return GaussianRational(value)
-    raise TypeError(f"matrix entries must be exact scalars, got {type(value)!r}")
+def offsets(sizes: Iterable[int]) -> tuple[int, ...]:
+    """Start index of each block when blocks of the given sizes are laid
+    end to end from index 0."""
+    return tuple(itertools.accumulate(sizes, initial=0))[:-1]
 
 
+@dataclass(frozen=True, slots=True)
 class ExactMatrix:
     """Immutable rows x cols matrix with GaussianRational entries."""
 
-    __slots__ = ("rows", "cols", "_entries")
+    rows: int
+    cols: int
+    _entries: tuple[tuple[GaussianRational, ...], ...]
 
     def __init__(self, entries: Iterable[Iterable]):
-        data = tuple(tuple(_entry(v) for v in row) for row in entries)
+        data = tuple(tuple(as_scalar(v) for v in row) for row in entries)
         if not data or not data[0]:
             raise ValueError("matrix must have at least one row and column")
         width = len(data[0])
@@ -50,9 +53,6 @@ class ExactMatrix:
         object.__setattr__(self, "rows", len(data))
         object.__setattr__(self, "cols", width)
         object.__setattr__(self, "_entries", data)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ExactMatrix is immutable")
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
@@ -64,9 +64,26 @@ class ExactMatrix:
 
     @classmethod
     def diagonal(cls, values: Sequence) -> "ExactMatrix":
-        vals = [_entry(v) for v in values]
+        vals = [as_scalar(v) for v in values]
         n = len(vals)
         return cls([[vals[i] if i == j else ZERO for j in range(n)] for i in range(n)])
+
+    @classmethod
+    def from_blocks(
+        cls, n: int, placements: Iterable[tuple[int, int, "ExactMatrix"]]
+    ) -> "ExactMatrix":
+        """n x n matrix that is zero except for each (row0, col0, block)
+        placement, which puts the block's top-left entry at (row0, col0)."""
+        grid = [[ZERO] * n for _ in range(n)]
+        for row0, col0, block in placements:
+            if not (0 <= row0 <= n - block.rows and 0 <= col0 <= n - block.cols):
+                raise ValueError(
+                    f"{block.rows}x{block.cols} block at ({row0}, {col0}) "
+                    f"does not fit in {n}x{n}"
+                )
+            for i, brow in enumerate(block._entries):
+                grid[row0 + i][col0 : col0 + block.cols] = brow
+        return cls(grid)
 
     def __getitem__(self, key) -> GaussianRational:
         i, j = key
@@ -81,18 +98,6 @@ class ExactMatrix:
 
     def is_square(self) -> bool:
         return self.rows == self.cols
-
-    def __eq__(self, other):
-        if not isinstance(other, ExactMatrix):
-            return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and self._entries == other._entries
-        )
-
-    def __hash__(self):
-        return hash(self._entries)
 
     def first_difference(self, other: "ExactMatrix") -> tuple[int, int] | None:
         """First (row, col) where the two matrices differ, 0-based; None if equal."""
@@ -126,19 +131,19 @@ class ExactMatrix:
         return ExactMatrix([[-v for v in row] for row in self._entries])
 
     def scale(self, c) -> "ExactMatrix":
-        c = _entry(c)
+        c = as_scalar(c)
         return ExactMatrix([[c * v for v in row] for row in self._entries])
 
     def __rmul__(self, other):
-        if isinstance(other, (GaussianRational, int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
+        try:
+            c = as_scalar(other)
+        except TypeError:
+            return NotImplemented
+        return self.scale(c)
 
     def __mul__(self, other):
-        if isinstance(other, (GaussianRational, int, Fraction)):
-            return self.scale(other)
         if not isinstance(other, ExactMatrix):
-            return NotImplemented
+            return self.__rmul__(other)
         if self.cols != other.rows:
             raise ValueError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
@@ -155,11 +160,6 @@ class ExactMatrix:
                         acc[j] = acc[j] + aik * bkj
             out.append(acc)
         return ExactMatrix(out)
-
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(
-            [[self._entries[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        )
 
     def det(self) -> GaussianRational:
         """Exact determinant by Gaussian elimination.
@@ -244,9 +244,16 @@ class ExactMatrix:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ExactMatrix":
+        """Strict reader: rows and cols are JSON integers and entries is a
+        list of lists of scalar text; nothing else is coerced."""
         rows = data["rows"]
         cols = data["cols"]
         entries = data["entries"]
+        for dim in (rows, cols):
+            if not isinstance(dim, int) or isinstance(dim, bool):
+                raise ValueError(f"rows and cols must be integers, got {dim!r}")
+        if not isinstance(entries, list) or not all(isinstance(r, list) for r in entries):
+            raise ValueError("entries must be a list of rows, each a list")
         if len(entries) != rows or any(len(r) != cols for r in entries):
             raise ValueError("entry grid does not match declared shape")
         return cls([[parse(v) for v in row] for row in entries])
@@ -271,18 +278,31 @@ def direct_sum(blocks: Sequence[ExactMatrix]) -> ExactMatrix:
         raise ValueError("direct_sum needs at least one block")
     if any(not b.is_square() for b in blocks):
         raise ValueError("direct_sum blocks must be square")
-    n = sum(b.rows for b in blocks)
+    starts = offsets(b.rows for b in blocks)
+    return ExactMatrix.from_blocks(
+        sum(b.rows for b in blocks), [(k, k, b) for k, b in zip(starts, blocks)]
+    )
+
+
+def inflate(coeffs: ExactMatrix, sizes: Sequence[int]) -> ExactMatrix:
+    """Replace each entry c of the r x r matrix coeffs by the block
+    c * I_{sizes[i] x sizes[j]}: c on the leading diagonal of block (i, j),
+    zero elsewhere."""
+    r = len(sizes)
+    if coeffs.rows != r or coeffs.cols != r:
+        raise ValueError("coefficient matrix size does not match the block sizes")
+    starts = offsets(sizes)
+    n = sum(sizes)
     grid = [[ZERO] * n for _ in range(n)]
-    offset = 0
-    for b in blocks:
-        for i in range(b.rows):
-            row = grid[offset + i]
-            for j in range(b.cols):
-                row[offset + j] = b[i, j]
-        offset += b.rows
+    for i, row in enumerate(coeffs.entries):
+        for j, c in enumerate(row):
+            if c:
+                for t in range(min(sizes[i], sizes[j])):
+                    grid[starts[i] + t][starts[j] + t] = c
     return ExactMatrix(grid)
 
 
+@dataclass(frozen=True, slots=True)
 class PermutationMap:
     """Bijection of {1..n}, stored as the 1-based image list.
 
@@ -290,7 +310,7 @@ class PermutationMap:
     single 1 in row images[k].
     """
 
-    __slots__ = ("images",)
+    images: tuple[int, ...]
 
     def __init__(self, images: Sequence[int]):
         imgs = tuple(int(v) for v in images)
@@ -299,19 +319,8 @@ class PermutationMap:
             raise ValueError("images must be a permutation of 1..n")
         object.__setattr__(self, "images", imgs)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("PermutationMap is immutable")
-
     def __len__(self) -> int:
         return len(self.images)
-
-    def __eq__(self, other):
-        if not isinstance(other, PermutationMap):
-            return NotImplemented
-        return self.images == other.images
-
-    def __hash__(self):
-        return hash(self.images)
 
     def __repr__(self) -> str:
         return f"PermutationMap({list(self.images)})"

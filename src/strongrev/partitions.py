@@ -14,6 +14,7 @@ from typing import Iterable, Sequence
 __all__ = ["Partition", "PartitionSets", "parity_sets", "binomial"]
 
 
+@dataclass(frozen=True, slots=True)
 class Partition:
     """Weakly decreasing positive parts; the empty partition of 0 is allowed.
 
@@ -22,16 +23,13 @@ class Partition:
     are well defined.
     """
 
-    __slots__ = ("parts",)
+    parts: tuple[int, ...]
 
     def __init__(self, parts: Iterable[int] = ()):
         ps = sorted((int(p) for p in parts), reverse=True)
         if any(p <= 0 for p in ps):
             raise ValueError("partition parts must be positive integers")
         object.__setattr__(self, "parts", tuple(ps))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Partition is immutable")
 
     @property
     def total(self) -> int:
@@ -42,14 +40,6 @@ class Partition:
 
     def __iter__(self):
         return iter(self.parts)
-
-    def __eq__(self, other):
-        if not isinstance(other, Partition):
-            return NotImplemented
-        return self.parts == other.parts
-
-    def __hash__(self):
-        return hash(self.parts)
 
     def __repr__(self) -> str:
         return f"Partition({list(self.parts)})"

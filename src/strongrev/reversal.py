@@ -24,9 +24,16 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .canonical import JordanSpec, jordan_matrix, sample_centralizer, weyr_form
-from .matrices import ExactMatrix, VerificationReport, check_witness, direct_sum
+from .matrices import (
+    ExactMatrix,
+    VerificationReport,
+    check_witness,
+    direct_sum,
+    inflate,
+    offsets,
+)
 from .partitions import Partition, binomial, parity_sets
-from .scalars import GaussianRational, MINUS_ONE, ONE, ZERO
+from .scalars import GaussianRational, MINUS_ONE, ONE, ZERO, as_scalar
 from .scalars import I as IMAGINARY
 
 __all__ = [
@@ -73,10 +80,6 @@ def _sign_value(k: int) -> GaussianRational:
     return MINUS_ONE if k % 2 else ONE
 
 
-def _scalar(value) -> GaussianRational:
-    return value if isinstance(value, GaussianRational) else GaussianRational(value)
-
-
 def jordan_reverser(eigenvalue, n: int) -> ExactMatrix:
     """Closed form of R(lam, n).
 
@@ -84,7 +87,7 @@ def jordan_reverser(eigenvalue, n: int) -> ExactMatrix:
     (-1)^(n-i) C(n-i-1, j-i) lam^(-2n+i+j), and the last column is zero
     except for the final 1.
     """
-    lam = _scalar(eigenvalue)
+    lam = as_scalar(eigenvalue)
     if not lam:
         raise ValueError("eigenvalue must be nonzero")
     grid = [[ZERO] * n for _ in range(n)]
@@ -105,7 +108,7 @@ def jordan_reverser_recurrence(eigenvalue, n: int) -> ExactMatrix:
     The last column is e_n; every other entry follows
     x[i][j] = -lam^(-2) x[i+1][j+1] - lam^(-1) x[i+1][j], filled bottom-up.
     """
-    lam = _scalar(eigenvalue)
+    lam = as_scalar(eigenvalue)
     if not lam:
         raise ValueError("eigenvalue must be nonzero")
     inv = lam.inverse()
@@ -121,14 +124,14 @@ def jordan_reverser_recurrence(eigenvalue, n: int) -> ExactMatrix:
 
 def inverse_law_holds(eigenvalue, n: int) -> bool:
     """Whether R(lam, n) * R(1/lam, n) is exactly the identity."""
-    lam = _scalar(eigenvalue)
+    lam = as_scalar(eigenvalue)
     product = jordan_reverser(lam, n) * jordan_reverser(lam.inverse(), n)
     return product.is_identity()
 
 
 def upper_toeplitz(values: Sequence) -> ExactMatrix:
     """Upper triangular Toeplitz matrix with first row ``values``."""
-    vals = [v if isinstance(v, GaussianRational) else GaussianRational(v) for v in values]
+    vals = [as_scalar(v) for v in values]
     n = len(vals)
     return ExactMatrix(
         [[vals[j - i] if j >= i else ZERO for j in range(n)] for i in range(n)]
@@ -139,7 +142,7 @@ def jordan_reverser_general(eigenvalue, values: Sequence) -> ExactMatrix:
     """R(lam, x, n) = Toeplitz(x) * R(lam, n), the general reverser of a
     Jordan block: its last column is x reversed and it satisfies the same
     reversal identity as R(lam, n)."""
-    vals = [v if isinstance(v, GaussianRational) else GaussianRational(v) for v in values]
+    vals = [as_scalar(v) for v in values]
     if not vals or not vals[0]:
         raise ValueError("leading Toeplitz coefficient must be nonzero")
     return upper_toeplitz(vals) * jordan_reverser(eigenvalue, len(vals))
@@ -149,29 +152,12 @@ def blocked_jordan_reverser(eigenvalue, sizes: Sequence[int]) -> ExactMatrix:
     """R(lam, r) inflated to block entries: scalar coefficients multiply
     rectangular identities I_{sizes[i] x sizes[j]}.  Reverses the basic Weyr
     matrix with the given structure the way R(lam, r) reverses J(lam, r)."""
-    sizes = tuple(int(s) for s in sizes)
-    r = len(sizes)
-    coeff = jordan_reverser(eigenvalue, r)
-    n = sum(sizes)
-    offs = []
-    total = 0
-    for s in sizes:
-        offs.append(total)
-        total += s
-    grid = [[ZERO] * n for _ in range(n)]
-    for i in range(r):
-        for j in range(i, r):
-            c = coeff[i, j]
-            if not c:
-                continue
-            for t in range(min(sizes[i], sizes[j])):
-                grid[offs[i] + t][offs[j] + t] = c
-    return ExactMatrix(grid)
+    return inflate(jordan_reverser(eigenvalue, len(sizes)), sizes)
 
 
 def involution_reverser(mu, n: int) -> ExactMatrix:
     """R(mu, n) for mu in {1, -1}: an involution reversing J(mu, n)."""
-    mu = _scalar(mu)
+    mu = as_scalar(mu)
     if mu != ONE and mu != MINUS_ONE:
         raise ValueError("involution_reverser needs eigenvalue +1 or -1")
     return jordan_reverser(mu, n)
@@ -181,17 +167,12 @@ def pair_reverser(eigenvalue, n: int) -> ExactMatrix:
     """Antidiagonal block involution reversing J(lam, n) + J(1/lam, n):
     R(lam, n) sits top right and its inverse R(1/lam, n) bottom left.  Its
     determinant is (-1)^n."""
-    lam = _scalar(eigenvalue)
+    lam = as_scalar(eigenvalue)
     if lam == ONE or lam == MINUS_ONE or not lam:
         raise ValueError("pair_reverser needs an eigenvalue other than 0, +1, -1")
-    top = jordan_reverser(lam, n)
-    bottom = jordan_reverser(lam.inverse(), n)
-    grid = [[ZERO] * (2 * n) for _ in range(2 * n)]
-    for i in range(n):
-        for j in range(n):
-            grid[i][n + j] = top[i, j]
-            grid[n + i][j] = bottom[i, j]
-    return ExactMatrix(grid)
+    return ExactMatrix.from_blocks(
+        2 * n, [(0, n, jordan_reverser(lam, n)), (n, 0, jordan_reverser(lam.inverse(), n))]
+    )
 
 
 @dataclass(frozen=True)
@@ -357,27 +338,18 @@ def assemble_block_reverser(
     (x1, y1) = pair_scale[(i, j)].  The result is an involution exactly when
     every singleton scale squares to 1 and every pair has x1 * y1 == 1.
     """
-    n = spec.n
-    offs = spec.block_offsets()
-    grid = [[ZERO] * n for _ in range(n)]
-
-    def place(block: ExactMatrix, row0: int, col0: int) -> None:
-        for i in range(block.rows):
-            target = grid[row0 + i]
-            brow = block.row(i)
-            for j in range(block.cols):
-                if brow[j]:
-                    target[col0 + j] = brow[j]
-
+    offs = offsets(size for _, size in spec.blocks)
+    placements = []
     for idx in pairing.singletons:
         eig, size = spec.blocks[idx]
-        place(singleton_scale[idx] * jordan_reverser(eig, size), offs[idx], offs[idx])
+        block = singleton_scale[idx] * jordan_reverser(eig, size)
+        placements.append((offs[idx], offs[idx], block))
     for i, j in pairing.pairs:
         lam, size = spec.blocks[i]
         x1, y1 = pair_scale[(i, j)]
-        place(x1 * jordan_reverser(lam, size), offs[i], offs[j])
-        place(y1 * jordan_reverser(lam.inverse(), size), offs[j], offs[i])
-    return ExactMatrix(grid)
+        placements.append((offs[i], offs[j], x1 * jordan_reverser(lam, size)))
+        placements.append((offs[j], offs[i], y1 * jordan_reverser(lam.inverse(), size)))
+    return ExactMatrix.from_blocks(spec.n, placements)
 
 
 def _verified_bundle(
@@ -508,38 +480,18 @@ def sample_reverser(spec: JordanSpec, seed: int) -> ExactMatrix:
         raise NotReversibleError(f"spec is not reversible: {spec!r}")
     wf = weyr_form(spec)
     structures = wf.structures
-    offsets = []
-    total = 0
-    for w in structures:
-        offsets.append(total)
-        total += w.n
+    offs = offsets(w.n for w in structures)
     position = {w.eigenvalue: k for k, w in enumerate(structures)}
-    n = spec.n
-    grid = [[ZERO] * n for _ in range(n)]
-
-    def place(block: ExactMatrix, row0: int, col0: int) -> None:
-        for i in range(block.rows):
-            target = grid[row0 + i]
-            brow = block.row(i)
-            for j in range(block.cols):
-                if brow[j]:
-                    target[col0 + j] = brow[j]
-
-    done: set[int] = set()
+    # Eigenvalue lam's blocked reverser sits in the (lam, 1/lam) block, on
+    # the diagonal for lam = +-1.  Reversibility gives 1/lam the same Weyr
+    # structure as lam, so each block is square.
+    placements = []
     for k, w in enumerate(structures):
-        if k in done:
-            continue
-        eig = w.eigenvalue
-        if eig == ONE or eig == MINUS_ONE:
-            place(blocked_jordan_reverser(eig, w.sizes), offsets[k], offsets[k])
-            done.add(k)
-        else:
-            k2 = position[eig.inverse()]
-            place(blocked_jordan_reverser(eig, w.sizes), offsets[k], offsets[k2])
-            place(blocked_jordan_reverser(eig.inverse(), w.sizes), offsets[k2], offsets[k])
-            done.add(k)
-            done.add(k2)
-    base_reverser = ExactMatrix(grid)
+        partner = position[w.eigenvalue.inverse()]
+        placements.append(
+            (offs[k], offs[partner], blocked_jordan_reverser(w.eigenvalue, w.sizes))
+        )
+    base_reverser = ExactMatrix.from_blocks(spec.n, placements)
     rng = random.Random(seed)
     centralizer = direct_sum(
         [sample_centralizer(w, rng.randrange(2**63)) for w in structures]

@@ -9,11 +9,13 @@ same arithmetic protocol (``+ - * / ** ==``, ``inverse``, truthiness for
 from __future__ import annotations
 
 import re as _re
+from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
     "GaussianRational",
     "ScalarParseError",
+    "as_scalar",
     "parse",
     "ZERO",
     "ONE",
@@ -31,6 +33,7 @@ class ScalarParseError(ValueError):
         self.position = position
 
 
+@dataclass(frozen=True, slots=True)
 class GaussianRational:
     """An element re + im*i of Q(i), held as two exact ``Fraction`` parts.
 
@@ -39,40 +42,33 @@ class GaussianRational:
     ``Fraction``).
     """
 
-    __slots__ = ("re", "im")
+    re: Fraction
+    im: Fraction
 
     def __init__(self, re: int | Fraction = 0, im: int | Fraction = 0):
         object.__setattr__(self, "re", Fraction(re))
         object.__setattr__(self, "im", Fraction(im))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussianRational is immutable")
-
-    @staticmethod
-    def _coerce(value) -> "GaussianRational | None":
-        if isinstance(value, GaussianRational):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return GaussianRational(value)
-        return None
-
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        try:
+            other = as_scalar(other)
+        except TypeError:
             return NotImplemented
         return GaussianRational(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        try:
+            other = as_scalar(other)
+        except TypeError:
             return NotImplemented
         return GaussianRational(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        try:
+            other = as_scalar(other)
+        except TypeError:
             return NotImplemented
         return other - self
 
@@ -80,8 +76,9 @@ class GaussianRational:
         return GaussianRational(-self.re, -self.im)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        try:
+            other = as_scalar(other)
+        except TypeError:
             return NotImplemented
         return GaussianRational(
             self.re * other.re - self.im * other.im,
@@ -91,14 +88,16 @@ class GaussianRational:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        try:
+            other = as_scalar(other)
+        except TypeError:
             return NotImplemented
         return self * other.inverse()
 
     def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        try:
+            other = as_scalar(other)
+        except TypeError:
             return NotImplemented
         return other * self.inverse()
 
@@ -119,8 +118,9 @@ class GaussianRational:
         return result
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        try:
+            other = as_scalar(other)
+        except TypeError:
             return NotImplemented
         return self.re == other.re and self.im == other.im
 
@@ -167,6 +167,19 @@ class GaussianRational:
         return f"{self.re}{sign}{imag}"
 
 
+def as_scalar(value) -> GaussianRational:
+    """The one coercion into Q(i): a GaussianRational passes through, an int
+    or Fraction becomes a real scalar, and anything else (text, floats)
+    raises TypeError."""
+    if isinstance(value, GaussianRational):
+        return value
+    if isinstance(value, (int, Fraction)):
+        return GaussianRational(value)
+    raise TypeError(
+        f"expected an exact scalar (GaussianRational, int or Fraction), got {type(value).__name__}"
+    )
+
+
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
 MINUS_ONE = GaussianRational(-1)
@@ -192,7 +205,11 @@ def _fraction(text: str, source: str, position: int) -> Fraction:
 
 
 def parse(text: str) -> GaussianRational:
-    """Parse the scalar grammar, e.g. "2", "-1/3", "1/2+3/4i", "-i"."""
+    """Parse the scalar grammar, e.g. "2", "-1/3", "1/2+3/4i", "-i".
+
+    Only text is parsed: any other type raises TypeError."""
+    if not isinstance(text, str):
+        raise TypeError(f"scalar text must be a string, got {type(text).__name__}")
     s = text.strip()
     m = _SCALAR.match(s)
     end = m.end() if m else 0

@@ -33,7 +33,7 @@ from .matrices import (
     check_witness,
 )
 from .partitions import Partition, parity_sets
-from .scalars import GaussianRational, MINUS_ONE, ONE, ZERO
+from .scalars import GaussianRational, MINUS_ONE, ONE, as_scalar
 from .scalars import I as IMAGINARY
 
 __all__ = [
@@ -47,6 +47,7 @@ __all__ = [
     "semisimple_cross_check",
     "cross_path_check",
     "semisimple_strong_verdict",
+    "sign_eigenvalue_strong_verdict",
     "unipotent_strong_verdict",
     "negative_one_strong_verdict",
     "single_pair_strong_verdict",
@@ -93,9 +94,7 @@ class SpecGenerator:
         max_block_size: int | None = None,
     ):
         self.max_n = int(max_n)
-        self.pool = tuple(
-            v if isinstance(v, GaussianRational) else GaussianRational(v) for v in pool
-        )
+        self.pool = tuple(as_scalar(v) for v in pool)
         if mode not in ("exhaustive", "random"):
             raise ValueError(f"unknown mode {mode!r}")
         self.mode = mode
@@ -259,15 +258,9 @@ def _random_involution(n: int, rng: random.Random) -> ExactMatrix:
 def _block_toeplitz(blocks: Sequence[ExactMatrix]) -> ExactMatrix:
     m = len(blocks)
     k = blocks[0].rows
-    grid = [[ZERO] * (m * k) for _ in range(m * k)]
-    for bi in range(m):
-        for bj in range(bi, m):
-            block = blocks[bj - bi]
-            for i in range(k):
-                row = grid[bi * k + i]
-                for j in range(k):
-                    row[bj * k + j] = block[i, j]
-    return ExactMatrix(grid)
+    return ExactMatrix.from_blocks(
+        m * k, [(bi * k, bj * k, blocks[bj - bi]) for bi in range(m) for bj in range(bi, m)]
+    )
 
 
 def homogeneous_det_check(k: int, m: int, trials: int, seed: int) -> dict:
@@ -317,21 +310,24 @@ def semisimple_strong_verdict(spec: JordanSpec) -> bool | None:
     return spec.n % 4 != 2
 
 
-def unipotent_strong_verdict(spec: JordanSpec) -> bool | None:
-    """Strong reversibility when every eigenvalue is 1: some odd block size,
-    or the total multiplicity of sizes 2 mod 4 is even."""
-    if any(eig != ONE for eig, _ in spec.blocks):
+def sign_eigenvalue_strong_verdict(spec: JordanSpec, mu: GaussianRational) -> bool | None:
+    """Strong reversibility when every eigenvalue is mu, +1 or -1: some odd
+    block size, or the total multiplicity of sizes 2 mod 4 is even.  None
+    when another eigenvalue occurs."""
+    if any(eig != mu for eig, _ in spec.blocks):
         return None
     sets = parity_sets(Partition(size for _, size in spec.blocks))
     return bool(sets.odd_sizes) or sets.singly_even_weight % 2 == 0
+
+
+def unipotent_strong_verdict(spec: JordanSpec) -> bool | None:
+    """The criterion of sign_eigenvalue_strong_verdict for eigenvalue 1."""
+    return sign_eigenvalue_strong_verdict(spec, ONE)
 
 
 def negative_one_strong_verdict(spec: JordanSpec) -> bool | None:
-    """Same criterion as the unipotent case, for eigenvalue -1 throughout."""
-    if any(eig != MINUS_ONE for eig, _ in spec.blocks):
-        return None
-    sets = parity_sets(Partition(size for _, size in spec.blocks))
-    return bool(sets.odd_sizes) or sets.singly_even_weight % 2 == 0
+    """The criterion of sign_eigenvalue_strong_verdict for eigenvalue -1."""
+    return sign_eigenvalue_strong_verdict(spec, MINUS_ONE)
 
 
 def single_pair_strong_verdict(spec: JordanSpec) -> bool | None:
@@ -351,28 +347,33 @@ def single_pair_strong_verdict(spec: JordanSpec) -> bool | None:
     return sum(sizes_first) % 2 == 0
 
 
+def _compare(summary: dict, spec: JordanSpec, verdict: bool | None, label: str) -> None:
+    """Count one case and record a failure unless the special-case verdict
+    (None meaning "not reversible") agrees with the general classifier."""
+    summary["cases"] += 1
+    report = reversal.classify(spec)
+    if verdict is None:
+        if report.reversible:
+            _fail(summary, spec=spec.to_json_dict(), path=label, problem="reversibility disagreement")
+        return
+    if not report.reversible:
+        _fail(summary, spec=spec.to_json_dict(), path=label, problem="reversibility disagreement")
+    elif verdict != report.strongly_reversible:
+        _fail(
+            summary,
+            spec=spec.to_json_dict(),
+            path=label,
+            problem=f"{label} verdict {verdict} vs classifier {report.strongly_reversible}",
+        )
+
+
 def semisimple_cross_check(gen: SpecGenerator) -> dict:
     """Diagonal-case verdict must equal the general classifier on every
     generated semisimple spec."""
     summary = _new_summary("semisimple_cross_check")
     for spec in gen.specs():
-        if any(size != 1 for _, size in spec.blocks):
-            continue
-        summary["cases"] += 1
-        verdict = semisimple_strong_verdict(spec)
-        report = reversal.classify(spec)
-        if verdict is None:
-            if report.reversible:
-                _fail(summary, spec=spec.to_json_dict(), problem="reversibility disagreement")
-            continue
-        if not report.reversible:
-            _fail(summary, spec=spec.to_json_dict(), problem="reversibility disagreement")
-        elif verdict != report.strongly_reversible:
-            _fail(
-                summary,
-                spec=spec.to_json_dict(),
-                problem=f"semisimple verdict {verdict} vs classifier {report.strongly_reversible}",
-            )
+        if all(size == 1 for _, size in spec.blocks):
+            _compare(summary, spec, semisimple_strong_verdict(spec), "semisimple")
     return summary
 
 
@@ -383,40 +384,21 @@ def cross_path_check(max_n: int = 10, pair_eigenvalues: Sequence | None = None) 
     summary = _new_summary("cross_path_check")
     if pair_eigenvalues is None:
         pair_eigenvalues = (GaussianRational(2), IMAGINARY)
-
-    def compare(spec: JordanSpec, verdict: bool | None, label: str) -> None:
-        summary["cases"] += 1
-        report = reversal.classify(spec)
-        if verdict is None:
-            if report.reversible:
-                _fail(summary, spec=spec.to_json_dict(), path=label, problem="reversibility disagreement")
-            return
-        if not report.reversible:
-            _fail(summary, spec=spec.to_json_dict(), path=label, problem="reversibility disagreement")
-        elif verdict != report.strongly_reversible:
-            _fail(
-                summary,
-                spec=spec.to_json_dict(),
-                path=label,
-                problem=f"{label} verdict {verdict} vs classifier {report.strongly_reversible}",
-            )
-
     semisimple_gen = SpecGenerator(max_n, DEFAULT_POOL, max_block_size=1)
     for spec in semisimple_gen.specs():
-        compare(spec, semisimple_strong_verdict(spec), "semisimple")
+        _compare(summary, spec, semisimple_strong_verdict(spec), "semisimple")
     for n in range(1, max_n + 1):
         for parts in iter_partitions(n):
-            spec_plus = JordanSpec((ONE, d) for d in parts)
-            compare(spec_plus, unipotent_strong_verdict(spec_plus), "unipotent")
-            spec_minus = JordanSpec((MINUS_ONE, d) for d in parts)
-            compare(spec_minus, negative_one_strong_verdict(spec_minus), "eigenvalue -1")
+            for mu, label in ((ONE, "unipotent"), (MINUS_ONE, "eigenvalue -1")):
+                spec = JordanSpec((mu, d) for d in parts)
+                _compare(summary, spec, sign_eigenvalue_strong_verdict(spec, mu), label)
     for lam in pair_eigenvalues:
-        lam = lam if isinstance(lam, GaussianRational) else GaussianRational(lam)
+        lam = as_scalar(lam)
         for half in range(1, max_n // 2 + 1):
             for parts in iter_partitions(half):
                 blocks = [(lam, d) for d in parts] + [(lam.inverse(), d) for d in parts]
                 spec = JordanSpec(blocks)
-                compare(spec, single_pair_strong_verdict(spec), "single pair")
+                _compare(summary, spec, single_pair_strong_verdict(spec), "single pair")
     return summary
 
 
@@ -482,20 +464,25 @@ def suite_matrix_laws(seed: int = 0, inverse_trials: int = 200, max_size: int = 
     return summary
 
 
+def _random_partition(rng: random.Random, max_n: int) -> Partition:
+    """Partition of a random n in 1..max_n, built by drawing parts no larger
+    than what remains."""
+    parts = []
+    remaining = rng.randint(1, max_n)
+    while remaining:
+        part = rng.randint(1, remaining)
+        parts.append(part)
+        remaining -= part
+    return Partition(parts)
+
+
 def suite_partition_laws(seed: int = 0, trials: int = 500) -> dict:
     """Conjugation is an involution and both conjugation code paths agree."""
     summary = _new_summary("partition_laws")
     rng = random.Random(seed)
     for _ in range(trials):
         summary["cases"] += 1
-        n = rng.randint(1, 40)
-        parts = []
-        remaining = n
-        while remaining:
-            part = rng.randint(1, remaining)
-            parts.append(part)
-            remaining -= part
-        p = Partition(parts)
+        p = _random_partition(rng, 40)
         conj = p.conjugate()
         ok = (
             conj.total == p.total
@@ -529,14 +516,8 @@ def suite_canonical_laws(seed: int = 0, trials: int = 200, pool: Sequence | None
     rng = random.Random(seed + 1)
     for _ in range(trials):
         summary["cases"] += 1
-        n = rng.randint(1, 8)
-        parts = []
-        remaining = n
-        while remaining:
-            part = rng.randint(1, remaining)
-            parts.append(part)
-            remaining -= part
-        structure = WeyrStructure(rng.choice(list(pool)), Partition(parts).parts)
+        parts = _random_partition(rng, 8).parts
+        structure = WeyrStructure(rng.choice(list(pool)), parts)
         sample = sample_centralizer(structure, rng.randrange(2**63))
         weyr = basic_weyr_matrix(structure)
         if sample * weyr != weyr * sample:
@@ -595,9 +576,7 @@ def suite_reverser_laws(seed: int = 0, max_size: int = 12, draws: int = 20) -> d
 def run_selftest(max_n: int = 6, seed: int = 0, pool: Sequence | None = None) -> dict:
     """Run every invariant suite plus the classification sweeps; the result
     has total_failures == 0 exactly when everything holds."""
-    pool = DEFAULT_POOL if pool is None else tuple(
-        v if isinstance(v, GaussianRational) else GaussianRational(v) for v in pool
-    )
+    pool = DEFAULT_POOL if pool is None else tuple(as_scalar(v) for v in pool)
     suites = [
         suite_scalar_laws(seed),
         suite_matrix_laws(seed + 1),

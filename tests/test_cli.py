@@ -243,3 +243,66 @@ class TestSelftest:
         out = json.loads(capsys.readouterr().out)  # summary stays serializable
         assert code == 1
         assert out["total_failures"] > 0
+
+
+class TestMalformedMatrix:
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            pytest.param({"rows": 1, "cols": 1, "entries": [[1]]}, id="numeric-entry"),
+            pytest.param({"rows": True, "cols": 1, "entries": [["1"]]}, id="boolean-rows"),
+            pytest.param({"rows": 1, "cols": 2, "entries": ["12"]}, id="string-row"),
+        ],
+    )
+    def test_rejected_with_exit_3(self, tmp_path, capsys, matrix):
+        bad = write_json(tmp_path / "bad.json", matrix)
+        good = matrix_file(tmp_path, ExactMatrix.identity(1), "good.json")
+        for a, g in ((bad, good), (good, bad)):
+            assert main(["verify", "--matrix-a", a, "--matrix-g", g, "--format", "json"]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "invalid matrix" in captured.err
+
+
+class TestExitCodes:
+    def test_usage_error_is_not_a_verdict(self, capsys):
+        assert main(["classify"]) == 3
+        assert main(["no-such-command"]) == 3
+
+    def test_help_exits_0(self, capsys):
+        assert main(["--help"]) == 0
+        assert "classify" in capsys.readouterr().out
+
+    def test_internal_error_exits_4(self, tmp_path, capsys, monkeypatch):
+        import strongrev.reversal as reversal_module
+
+        def broken(spec):
+            raise RuntimeError("classifier broke")
+
+        monkeypatch.setattr(reversal_module, "classify", broken)
+        path = spec_file(tmp_path, [("1", 2)])
+        assert main(["classify", "--input", path]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "internal error: RuntimeError('classifier broke')\n"
+
+
+class TestModuleExecution:
+    def test_python_m_runs_the_cli(self, tmp_path):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        path = spec_file(tmp_path, [("1", 2)] * 3)
+        result = subprocess.run(
+            [sys.executable, "-m", "strongrev.cli", "classify", "--input", path],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == 1
+        assert "strongly reversible: no" in result.stdout

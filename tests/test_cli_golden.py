@@ -1,0 +1,70 @@
+"""Byte-exact CLI outputs: every case runs ``main(argv)`` on the small input
+files in ``tests/golden/`` and must reproduce the recorded stdout bytes
+(``<case>.out``) and the recorded exit code and stderr (``expected.json``).
+
+The recordings are the equivalence check for refactors that must not
+change behaviour.  To record them again, on the commit whose outputs are
+the reference, run ``PYTHONPATH=src python tests/test_cli_golden.py``.
+"""
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from strongrev.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _formats(name: str, argv: list[str]) -> list[tuple[str, list[str]]]:
+    return [(f"{name}-{fmt}", argv + ["--format", fmt]) for fmt in ("json", "text")]
+
+
+CASES = dict(
+    _formats("classify-strong", ["classify", "--input", "strong.json"])
+    + _formats("classify-reversible-only", ["classify", "--input", "reversible_only.json"])
+    + _formats("classify-not-reversible", ["classify", "--input", "not_reversible.json"])
+    + _formats("witness-involutive-pairs", ["witness", "--involutive", "--input", "pairs.json"])
+    + _formats("witness-involutive-flip", ["witness", "--involutive", "--input", "flip.json"])
+    + _formats("witness-involutive-refused-1", ["witness", "--involutive", "--input", "reversible_only.json"])
+    + _formats("witness-involutive-refused-2", ["witness", "--involutive", "--input", "not_reversible.json"])
+    + _formats("witness-sl-only-minus-i", ["witness", "--sl-only", "--input", "sl_only.json"])
+    + _formats("witness-sl-only-strong", ["witness", "--sl-only", "--input", "strong.json"])
+    + _formats("witness-sl-only-refused-2", ["witness", "--sl-only", "--input", "not_reversible.json"])
+    + _formats("weyr", ["weyr", "--input", "weyr.json"])
+    + _formats("verify-pass", ["verify", "--matrix-a", "pass_a.json", "--matrix-g", "pass_g.json"])
+    + _formats("verify-fail", ["verify", "--matrix-a", "fail_a.json", "--matrix-g", "fail_g.json"])
+)
+
+
+def run_case(argv: list[str]) -> tuple[int, str, str]:
+    resolved = [str(GOLDEN / a) if a.endswith(".json") else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(resolved)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_every_case_is_recorded():
+    assert set(json.loads((GOLDEN / "expected.json").read_text())) == set(CASES)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_output_matches_recording(case):
+    expected = json.loads((GOLDEN / "expected.json").read_text())[case]
+    code, out, err = run_case(CASES[case])
+    assert out.encode() == (GOLDEN / f"{case}.out").read_bytes()
+    assert code == expected["exit"]
+    assert err == expected["stderr"]
+
+
+if __name__ == "__main__":
+    expected = {}
+    for case, argv in sorted(CASES.items()):
+        code, out, err = run_case(argv)
+        (GOLDEN / f"{case}.out").write_bytes(out.encode())
+        expected[case] = {"exit": code, "stderr": err}
+    (GOLDEN / "expected.json").write_text(json.dumps(expected, indent=2, sort_keys=True) + "\n")

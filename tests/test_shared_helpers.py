@@ -1,0 +1,85 @@
+"""The helpers each concept is built from exactly once: scalar coercion,
+block offsets, block placement and block inflation."""
+
+from fractions import Fraction
+
+import pytest
+
+from strongrev.canonical import JordanSpec
+from strongrev.matrices import ExactMatrix, inflate, offsets
+from strongrev.reversal import jordan_reverser, upper_toeplitz
+from strongrev.scalars import GaussianRational, I, ONE, ZERO, as_scalar
+from strongrev.verify import SpecGenerator
+
+G = GaussianRational
+
+SCALAR_TAKERS = {
+    "JordanSpec": lambda v: JordanSpec([(v, 1)]),
+    "jordan_reverser": lambda v: jordan_reverser(v, 2),
+    "upper_toeplitz": lambda v: upper_toeplitz([ONE, v]),
+    "ExactMatrix": lambda v: ExactMatrix([[v]]),
+    "SpecGenerator pool": lambda v: SpecGenerator(2, [ONE, v]),
+}
+
+
+class TestAsScalar:
+    def test_exact_values_are_accepted(self):
+        assert as_scalar(I) is I
+        assert as_scalar(2) == G(2)
+        assert as_scalar(Fraction(1, 2)) == G(Fraction(1, 2))
+
+    @pytest.mark.parametrize("value", ["2", 0.5, None], ids=["text", "float", "none"])
+    @pytest.mark.parametrize("taker", sorted(SCALAR_TAKERS))
+    def test_inexact_values_are_rejected(self, taker, value):
+        with pytest.raises(TypeError):
+            SCALAR_TAKERS[taker](value)
+
+    def test_arithmetic_with_text_raises(self):
+        with pytest.raises(TypeError):
+            G(1) + "x"
+        with pytest.raises(TypeError):
+            "x" * G(1)
+        assert (G(1) == "1") is False
+
+
+class TestOffsets:
+    def test_starts(self):
+        assert offsets([3, 1, 2]) == (0, 3, 4)
+        assert offsets([]) == ()
+
+
+class TestFromBlocks:
+    def test_off_diagonal_rectangular_placements(self):
+        wide = ExactMatrix([[1, 2, 3]])
+        tall = ExactMatrix([[I], [-I]])
+        m = ExactMatrix.from_blocks(4, [(0, 1, wide), (2, 0, tall)])
+        assert m == ExactMatrix(
+            [
+                [0, 1, 2, 3],
+                [0, 0, 0, 0],
+                [I, 0, 0, 0],
+                [-I, 0, 0, 0],
+            ]
+        )
+
+    def test_block_must_fit(self):
+        with pytest.raises(ValueError):
+            ExactMatrix.from_blocks(2, [(2, 0, ExactMatrix([[1, 2]]))])
+        with pytest.raises(ValueError):
+            ExactMatrix.from_blocks(2, [(0, 1, ExactMatrix([[1, 2]]))])
+
+
+class TestInflate:
+    def test_rectangular_identity_blocks(self):
+        coeffs = ExactMatrix([[2, 3], [0, 5]])
+        assert inflate(coeffs, (2, 1)) == ExactMatrix(
+            [
+                [2, 0, 3],
+                [0, 2, 0],
+                [0, 0, 5],
+            ]
+        )
+
+    def test_size_mismatch(self):
+        with pytest.raises(ValueError):
+            inflate(ExactMatrix([[ZERO]]), (1, 1))
