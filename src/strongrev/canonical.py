@@ -15,7 +15,7 @@ from typing import Iterable
 
 from .matrices import ExactMatrix, PermutationMap, direct_sum, inflate, offsets
 from .partitions import Partition
-from .scalars import GaussianRational, ONE, ZERO, as_scalar, parse
+from .scalars import GaussianRational, ONE, ZERO, as_int, as_scalar, parse
 
 __all__ = [
     "JordanSpec",
@@ -49,7 +49,7 @@ class JordanSpec:
         normalized = []
         for eig, size in blocks:
             eig = as_scalar(eig)
-            size = int(size)
+            size = as_int(size)
             if not eig:
                 raise ValueError("eigenvalues must be nonzero (the matrix is invertible)")
             if size < 1:
@@ -134,7 +134,7 @@ class WeyrStructure:
     sizes: tuple[int, ...]
 
     def __post_init__(self):
-        sizes = tuple(int(s) for s in self.sizes)
+        sizes = tuple(as_int(s) for s in self.sizes)
         if not sizes or any(s < 1 for s in sizes):
             raise ValueError("sizes must be positive")
         if any(sizes[i] < sizes[i + 1] for i in range(len(sizes) - 1)):

@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .scalars import GaussianRational, ONE, ZERO, as_scalar, parse
+from .scalars import GaussianRational, ONE, ZERO, as_int, as_scalar, parse
 
 __all__ = [
     "ExactMatrix",
@@ -37,14 +37,22 @@ def offsets(sizes: Iterable[int]) -> tuple[int, ...]:
 
 @dataclass(frozen=True, slots=True)
 class ExactMatrix:
-    """Immutable rows x cols matrix with GaussianRational entries."""
+    """Immutable rows x cols matrix with GaussianRational entries.
+
+    Rows are held privately as lists, which CPython frees at once instead of
+    keeping dead row tuples on its free lists; ``entries`` and ``row()``
+    hand out tuples, so nothing reached through them can change a matrix.
+    """
 
     rows: int
     cols: int
-    _entries: tuple[tuple[GaussianRational, ...], ...]
+    _rows: list[list[GaussianRational]]
 
     def __init__(self, entries: Iterable[Iterable]):
-        data = tuple(tuple(as_scalar(v) for v in row) for row in entries)
+        data = [
+            [v if type(v) is GaussianRational else as_scalar(v) for v in row]
+            for row in entries
+        ]
         if not data or not data[0]:
             raise ValueError("matrix must have at least one row and column")
         width = len(data[0])
@@ -52,7 +60,10 @@ class ExactMatrix:
             raise ValueError("ragged rows")
         object.__setattr__(self, "rows", len(data))
         object.__setattr__(self, "cols", width)
-        object.__setattr__(self, "_entries", data)
+        object.__setattr__(self, "_rows", data)
+
+    def __hash__(self) -> int:
+        return hash((self.rows, self.cols, self.entries))
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
@@ -81,20 +92,20 @@ class ExactMatrix:
                     f"{block.rows}x{block.cols} block at ({row0}, {col0}) "
                     f"does not fit in {n}x{n}"
                 )
-            for i, brow in enumerate(block._entries):
+            for i, brow in enumerate(block._rows):
                 grid[row0 + i][col0 : col0 + block.cols] = brow
         return cls(grid)
 
     def __getitem__(self, key) -> GaussianRational:
         i, j = key
-        return self._entries[i][j]
+        return self._rows[i][j]
 
     def row(self, i: int) -> tuple[GaussianRational, ...]:
-        return self._entries[i]
+        return tuple(self._rows[i])
 
     @property
     def entries(self) -> tuple[tuple[GaussianRational, ...], ...]:
-        return self._entries
+        return tuple(map(tuple, self._rows))
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -104,9 +115,9 @@ class ExactMatrix:
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
         for i in range(self.rows):
-            if self._entries[i] != other._entries[i]:
+            if self._rows[i] != other._rows[i]:
                 for j in range(self.cols):
-                    if self._entries[i][j] != other._entries[i][j]:
+                    if self._rows[i][j] != other._rows[i][j]:
                         return (i, j)
         return None
 
@@ -118,7 +129,7 @@ class ExactMatrix:
         return ExactMatrix(
             [
                 [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self._entries, other._entries)
+                for ra, rb in zip(self._rows, other._rows)
             ]
         )
 
@@ -128,11 +139,11 @@ class ExactMatrix:
         return self + (-other)
 
     def __neg__(self):
-        return ExactMatrix([[-v for v in row] for row in self._entries])
+        return ExactMatrix([[-v for v in row] for row in self._rows])
 
     def scale(self, c) -> "ExactMatrix":
         c = as_scalar(c)
-        return ExactMatrix([[c * v for v in row] for row in self._entries])
+        return ExactMatrix([[c * v for v in row] for row in self._rows])
 
     def __rmul__(self, other):
         try:
@@ -148,15 +159,14 @@ class ExactMatrix:
             raise ValueError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
+        # The nonzero entries of each row of other, found once.
+        nonzero = [[(j, v) for j, v in enumerate(row) if v] for row in other._rows]
         out = []
-        for arow in self._entries:
+        for arow in self._rows:
             acc = [ZERO] * other.cols
-            for k, aik in enumerate(arow):
-                if not aik:
-                    continue
-                brow = other._entries[k]
-                for j, bkj in enumerate(brow):
-                    if bkj:
+            for aik, bnz in zip(arow, nonzero):
+                if aik:
+                    for j, bkj in bnz:
                         acc[j] = acc[j] + aik * bkj
             out.append(acc)
         return ExactMatrix(out)
@@ -170,7 +180,7 @@ class ExactMatrix:
         if not self.is_square():
             raise ValueError("determinant of a non-square matrix")
         n = self.rows
-        m = [list(row) for row in self._entries]
+        m = [list(row) for row in self._rows]
         sign = 1
         for col in range(n):
             pivot_row = None
@@ -203,7 +213,7 @@ class ExactMatrix:
         if not self.is_square():
             raise ValueError("inverse of a non-square matrix")
         n = self.rows
-        m = [list(row) for row in self._entries]
+        m = [list(row) for row in self._rows]
         inv = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
         for col in range(n):
             pivot_row = None
@@ -239,7 +249,7 @@ class ExactMatrix:
         return {
             "rows": self.rows,
             "cols": self.cols,
-            "entries": [[str(v) for v in row] for row in self._entries],
+            "entries": [[str(v) for v in row] for row in self._rows],
         }
 
     @classmethod
@@ -259,7 +269,7 @@ class ExactMatrix:
         return cls([[parse(v) for v in row] for row in entries])
 
     def __str__(self) -> str:
-        text = [[str(v) for v in row] for row in self._entries]
+        text = [[str(v) for v in row] for row in self._rows]
         widths = [max(len(text[i][j]) for i in range(self.rows)) for j in range(self.cols)]
         lines = [
             "[" + "  ".join(t.rjust(w) for t, w in zip(row, widths)) + "]"
@@ -294,7 +304,7 @@ def inflate(coeffs: ExactMatrix, sizes: Sequence[int]) -> ExactMatrix:
     starts = offsets(sizes)
     n = sum(sizes)
     grid = [[ZERO] * n for _ in range(n)]
-    for i, row in enumerate(coeffs.entries):
+    for i, row in enumerate(coeffs._rows):
         for j, c in enumerate(row):
             if c:
                 for t in range(min(sizes[i], sizes[j])):
@@ -313,7 +323,7 @@ class PermutationMap:
     images: tuple[int, ...]
 
     def __init__(self, images: Sequence[int]):
-        imgs = tuple(int(v) for v in images)
+        imgs = tuple(as_int(v) for v in images)
         n = len(imgs)
         if sorted(imgs) != list(range(1, n + 1)):
             raise ValueError("images must be a permutation of 1..n")
@@ -368,7 +378,7 @@ class PermutationMap:
         grid = [[ZERO] * n for _ in range(n)]
         for i in range(n):
             target = grid[img0[i]]
-            arow = a.row(i)
+            arow = a._rows[i]
             for j in range(n):
                 target[img0[j]] = arow[j]
         return ExactMatrix(grid)

@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .scalars import as_int
+
 __all__ = ["Partition", "PartitionSets", "parity_sets", "binomial"]
 
 
@@ -26,7 +28,7 @@ class Partition:
     parts: tuple[int, ...]
 
     def __init__(self, parts: Iterable[int] = ()):
-        ps = sorted((int(p) for p in parts), reverse=True)
+        ps = sorted((as_int(p) for p in parts), reverse=True)
         if any(p <= 0 for p in ps):
             raise ValueError("partition parts must be positive integers")
         object.__setattr__(self, "parts", tuple(ps))

@@ -9,12 +9,13 @@ same arithmetic protocol (``+ - * / ** ==``, ``inverse``, truthiness for
 from __future__ import annotations
 
 import re as _re
-from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 __all__ = [
     "GaussianRational",
     "ScalarParseError",
+    "as_int",
     "as_scalar",
     "parse",
     "ZERO",
@@ -33,37 +34,70 @@ class ScalarParseError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True, slots=True)
 class GaussianRational:
-    """An element re + im*i of Q(i), held as two exact ``Fraction`` parts.
+    """An element (a + b*i)/d of Q(i), held as three Python ints.
 
-    Values are immutable; every operation returns a fresh, normalized value
-    (coprime numerator/denominator, positive denominator, courtesy of
-    ``Fraction``).
+    The triple is normalized (d > 0 and gcd(a, b, d) == 1), so equal values
+    have equal triples.  Values are immutable; every operation returns a
+    fresh, normalized value.  Gaussian integers (d == 1) take a fast path
+    in ``+``, ``-`` and ``*``: Jordan matrices, +-1/+-i scalings and the
+    binomial reverser entries are all Gaussian integers.
     """
 
-    re: Fraction
-    im: Fraction
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re: int | Fraction = 0, im: int | Fraction = 0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        if not isinstance(re, (int, Fraction)) or not isinstance(im, (int, Fraction)):
+            raise TypeError(
+                f"scalar parts must be int or Fraction, got {type(re).__name__} "
+                f"and {type(im).__name__}"
+            )
+        p, q = re.as_integer_ratio()
+        r, s = im.as_integer_ratio()
+        # Over the least common denominator, gcd(a, b, d) is already 1.
+        d = q // gcd(q, s) * s
+        _set_a(self, p * (d // q))
+        _set_b(self, r * (d // s))
+        _set_d(self, d)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"GaussianRational is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"GaussianRational is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        return (GaussianRational, (self.re, self.im))
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     def __add__(self, other):
-        try:
-            other = as_scalar(other)
-        except TypeError:
-            return NotImplemented
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        if type(other) is not GaussianRational:
+            try:
+                other = as_scalar(other)
+            except TypeError:
+                return NotImplemented
+        if self._d == 1 == other._d:
+            return _triple(self._a + other._a, self._b + other._b, 1)
+        return _sum(self._a, self._b, self._d, other._a, other._b, other._d)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        try:
-            other = as_scalar(other)
-        except TypeError:
-            return NotImplemented
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        if type(other) is not GaussianRational:
+            try:
+                other = as_scalar(other)
+            except TypeError:
+                return NotImplemented
+        if self._d == 1 == other._d:
+            return _triple(self._a - other._a, self._b - other._b, 1)
+        return _sum(self._a, self._b, self._d, -other._a, -other._b, other._d)
 
     def __rsub__(self, other):
         try:
@@ -73,17 +107,21 @@ class GaussianRational:
         return other - self
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _triple(-self._a, -self._b, self._d)
 
     def __mul__(self, other):
-        try:
-            other = as_scalar(other)
-        except TypeError:
-            return NotImplemented
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if type(other) is not GaussianRational:
+            try:
+                other = as_scalar(other)
+            except TypeError:
+                return NotImplemented
+        a1, b1, a2, b2 = self._a, self._b, other._a, other._b
+        a = a1 * a2 - b1 * b2
+        b = a1 * b2 + b1 * a2
+        d = self._d * other._d
+        if d == 1:
+            return _triple(a, b, 1)
+        return _reduced(a, b, d)
 
     __rmul__ = __mul__
 
@@ -118,34 +156,36 @@ class GaussianRational:
         return result
 
     def __eq__(self, other):
-        try:
-            other = as_scalar(other)
-        except TypeError:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if type(other) is not GaussianRational:
+            try:
+                other = as_scalar(other)
+            except TypeError:
+                return NotImplemented
+        return self._a == other._a and self._b == other._b and self._d == other._d
 
     def __hash__(self):
         # Matches hash(int)/hash(Fraction) on the real axis, so mixed-type
         # dict keys stay consistent with __eq__.
-        if not self.im:
-            return hash(self.re)
-        return hash((self.re, self.im))
+        if not self._b:
+            return hash(self._a) if self._d == 1 else hash(Fraction(self._a, self._d))
+        return hash((self._a, self._b, self._d))
 
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        return self._a != 0 or self._b != 0
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _triple(self._a, -self._b, self._d)
 
     def norm(self) -> Fraction:
         """re**2 + im**2, the multiplicative rational norm."""
-        return self.re * self.re + self.im * self.im
+        return Fraction(self._a * self._a + self._b * self._b, self._d * self._d)
 
     def inverse(self) -> "GaussianRational":
-        n = self.norm()
+        a, b, d = self._a, self._b, self._d
+        n = a * a + b * b
         if not n:
             raise ZeroDivisionError("division by zero in Q(i)")
-        return GaussianRational(self.re / n, -self.im / n)
+        return _reduced(d * a, -d * b, n)
 
     @property
     def sort_key(self) -> tuple[Fraction, Fraction]:
@@ -153,18 +193,62 @@ class GaussianRational:
         return (self.re, self.im)
 
     def __repr__(self) -> str:
-        return f"GaussianRational({self.re}, {self.im})"
+        return f"GaussianRational({_ratio(self._a, self._d)}, {_ratio(self._b, self._d)})"
 
     def __str__(self) -> str:
         """Render in the scalar grammar; parse(str(z)) == z."""
-        if not self.im:
-            return str(self.re)
-        mag = abs(self.im)
-        imag = "i" if mag == 1 else f"{mag}i"
-        if not self.re:
-            return imag if self.im > 0 else "-" + imag
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{imag}"
+        a, b, d = self._a, self._b, self._d
+        if not b:
+            return _ratio(a, d)
+        mag = _ratio(abs(b), d)
+        imag = "i" if mag == "1" else mag + "i"
+        if not a:
+            return imag if b > 0 else "-" + imag
+        return f"{_ratio(a, d)}{'+' if b > 0 else '-'}{imag}"
+
+
+_new = object.__new__
+_set_a = GaussianRational._a.__set__
+_set_b = GaussianRational._b.__set__
+_set_d = GaussianRational._d.__set__
+
+
+def _triple(a: int, b: int, d: int) -> GaussianRational:
+    """The scalar (a + b*i)/d from an already normalized triple."""
+    z = _new(GaussianRational)
+    _set_a(z, a)
+    _set_b(z, b)
+    _set_d(z, d)
+    return z
+
+
+def _reduced(a: int, b: int, d: int) -> GaussianRational:
+    """The scalar (a + b*i)/d for any d > 0."""
+    g = gcd(a, b, d)
+    if g == 1:
+        return _triple(a, b, d)
+    return _triple(a // g, b // g, d // g)
+
+
+def _sum(a1: int, b1: int, d1: int, a2: int, b2: int, d2: int) -> GaussianRational:
+    """(a1 + b1*i)/d1 + (a2 + b2*i)/d2 over the least common denominator.
+
+    As for Fraction addition, a common factor of the numerators and the
+    least common denominator can only come from gcd(d1, d2)."""
+    g = gcd(d1, d2)
+    s, t = d1 // g, d2 // g
+    a = a1 * t + a2 * s
+    b = b1 * t + b2 * s
+    g = gcd(a, b, g)
+    if g == 1:
+        return _triple(a, b, s * d2)
+    return _triple(a // g, b // g, s * (d2 // g))
+
+
+def _ratio(n: int, d: int) -> str:
+    """n/d in lowest terms, as Fraction renders it."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
 def as_scalar(value) -> GaussianRational:
@@ -178,6 +262,14 @@ def as_scalar(value) -> GaussianRational:
     raise TypeError(
         f"expected an exact scalar (GaussianRational, int or Fraction), got {type(value).__name__}"
     )
+
+
+def as_int(value) -> int:
+    """The one check for sizes and indices: a non-bool int passes through,
+    anything else (floats, bools, text) raises TypeError."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise TypeError(f"expected an integer, got {type(value).__name__} {value!r}")
 
 
 ZERO = GaussianRational(0)

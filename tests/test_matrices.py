@@ -218,3 +218,26 @@ class TestImmutability:
         m * m
         -m
         assert m.to_json_dict() == before
+
+
+class TestRowViews:
+    def test_entries_and_rows_are_tuples(self):
+        m = ExactMatrix([[1, 2], [3, G(0, 1)]])
+        assert type(m.entries) is tuple
+        assert all(type(row) is tuple for row in m.entries)
+        assert type(m.row(1)) is tuple and m.row(1) == (G(3), G(0, 1))
+
+    def test_nothing_reached_through_them_changes_the_matrix(self):
+        grid = [[1, 2], [3, 4]]
+        m = ExactMatrix(grid)
+        before = ExactMatrix([[1, 2], [3, 4]])
+        grid[0][0] = 9
+        grid.append([5, 6])
+        with pytest.raises(TypeError):
+            m.entries[0] = (G(9), G(9))
+        with pytest.raises(TypeError):
+            m.row(0)[0] = G(9)
+        rows = [list(row) for row in m.entries]
+        rows[1][1] = G(9)
+        assert m == before and hash(m) == hash(before)
+        assert m.entries == ((G(1), G(2)), (G(3), G(4)))

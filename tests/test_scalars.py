@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 
@@ -161,3 +162,114 @@ class TestOrderingAndHash:
     def test_immutable(self):
         with pytest.raises(AttributeError):
             ONE.re = Fraction(2)
+
+
+# Reference arithmetic on (re, im) pairs of Fractions, written independently
+# of the library's integer-triple representation.
+def ref_add(x, y):
+    return (x[0] + y[0], x[1] + y[1])
+
+
+def ref_sub(x, y):
+    return (x[0] - y[0], x[1] - y[1])
+
+
+def ref_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def ref_norm(x):
+    return x[0] * x[0] + x[1] * x[1]
+
+
+def ref_inverse(x):
+    n = ref_norm(x)
+    return (x[0] / n, -x[1] / n)
+
+
+def ref_pow(x, k):
+    if k < 0:
+        return ref_pow(ref_inverse(x), -k)
+    out = (Fraction(1), Fraction(0))
+    for _ in range(k):
+        out = ref_mul(out, x)
+    return out
+
+
+def ref_str(x):
+    re_part, im_part = x
+    if not im_part:
+        return str(re_part)
+    mag = abs(im_part)
+    imag = "i" if mag == 1 else f"{mag}i"
+    if not re_part:
+        return imag if im_part > 0 else "-" + imag
+    return f"{re_part}{'+' if im_part > 0 else '-'}{imag}"
+
+
+def pair_of(z):
+    return (z.re, z.im)
+
+
+# Gaussian integers (the d == 1 path, zero included) and general rationals.
+gaussian_integer_parts = st.integers(-30, 30).map(Fraction)
+rational_parts = st.fractions(min_value=-50, max_value=50, max_denominator=40)
+parts = st.one_of(gaussian_integer_parts, rational_parts)
+pairs = st.tuples(parts, parts)
+
+
+class TestDifferential:
+    @given(x=pairs, y=pairs)
+    def test_binary_operations(self, x, y):
+        a, b = G(*x), G(*y)
+        assert pair_of(a + b) == ref_add(x, y)
+        assert pair_of(a - b) == ref_sub(x, y)
+        assert pair_of(a * b) == ref_mul(x, y)
+        assert (a == b) == (x == y)
+        if any(y):
+            assert pair_of(a / b) == ref_mul(x, ref_inverse(y))
+        else:
+            with pytest.raises(ZeroDivisionError):
+                a / b
+
+    @given(x=pairs, k=st.integers(-6, 6))
+    def test_unary_operations(self, x, k):
+        z = G(*x)
+        assert pair_of(-z) == (-x[0], -x[1])
+        assert pair_of(z.conjugate()) == (x[0], -x[1])
+        assert z.norm() == ref_norm(x)
+        assert type(z.norm()) is Fraction
+        assert z.sort_key == x
+        assert str(z) == ref_str(x)
+        assert parse(str(z)) == z
+        assert pickle.loads(pickle.dumps(z)) == z
+        assert bool(z) == any(x)
+        if any(x):
+            assert pair_of(z.inverse()) == ref_inverse(x)
+        if any(x) or k >= 0:
+            assert pair_of(z**k) == ref_pow(x, k)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                z**k
+
+    @given(x=pairs, y=pairs)
+    def test_hash_and_mixed_equality(self, x, y):
+        z = G(*x)
+        # the same value reached by arithmetic hashes like the direct one
+        assert hash(z) == hash(G(*y) + (z - G(*y)))
+        if not x[1]:
+            assert z == x[0] and hash(z) == hash(x[0])
+            if x[0].denominator == 1:
+                assert z == x[0].numerator and hash(z) == hash(x[0].numerator)
+
+    @given(x=pairs)
+    def test_parts_are_read_only_fractions(self, x):
+        z = G(*x)
+        assert type(z.re) is Fraction and type(z.im) is Fraction
+        with pytest.raises(AttributeError):
+            z.im = Fraction(0)
+
+    @pytest.mark.parametrize("bad", [("1/2", 0.5), (0.5, 0), (1, "i"), (None, 0)])
+    def test_constructor_takes_only_exact_parts(self, bad):
+        with pytest.raises(TypeError):
+            G(*bad)

@@ -1,12 +1,13 @@
 """The helpers each concept is built from exactly once: scalar coercion,
-block offsets, block placement and block inflation."""
+size checking, block offsets, block placement and block inflation."""
 
 from fractions import Fraction
 
 import pytest
 
-from strongrev.canonical import JordanSpec
-from strongrev.matrices import ExactMatrix, inflate, offsets
+from strongrev.canonical import JordanSpec, WeyrStructure
+from strongrev.matrices import ExactMatrix, PermutationMap, inflate, offsets
+from strongrev.partitions import Partition
 from strongrev.reversal import jordan_reverser, upper_toeplitz
 from strongrev.scalars import GaussianRational, I, ONE, ZERO, as_scalar
 from strongrev.verify import SpecGenerator
@@ -14,6 +15,7 @@ from strongrev.verify import SpecGenerator
 G = GaussianRational
 
 SCALAR_TAKERS = {
+    "GaussianRational": lambda v: G(v),
     "JordanSpec": lambda v: JordanSpec([(v, 1)]),
     "jordan_reverser": lambda v: jordan_reverser(v, 2),
     "upper_toeplitz": lambda v: upper_toeplitz([ONE, v]),
@@ -40,6 +42,22 @@ class TestAsScalar:
         with pytest.raises(TypeError):
             "x" * G(1)
         assert (G(1) == "1") is False
+
+
+SIZE_TAKERS = {
+    "JordanSpec": lambda v: JordanSpec([(ONE, v)]),
+    "Partition": lambda v: Partition([v, 1]),
+    "WeyrStructure": lambda v: WeyrStructure(ONE, (v, 1)),
+    "PermutationMap": lambda v: PermutationMap([v, 1]),
+}
+
+
+class TestSizes:
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, "2", Fraction(2)], ids=repr)
+    @pytest.mark.parametrize("taker", sorted(SIZE_TAKERS))
+    def test_non_integers_are_rejected(self, taker, value):
+        with pytest.raises(TypeError):
+            SIZE_TAKERS[taker](value)
 
 
 class TestOffsets:
