@@ -101,13 +101,7 @@ class JordanSpec:
     def from_json_dict(cls, data: dict) -> "JordanSpec":
         """Strict reader: eigenvalues are scalar text and sizes are JSON
         integers; nothing else is coerced."""
-        blocks = []
-        for b in data["blocks"]:
-            size = b["size"]
-            if not isinstance(size, int) or isinstance(size, bool):
-                raise ValueError(f"block size must be an integer, got {size!r}")
-            blocks.append((parse(b["eigenvalue"]), size))
-        return cls(blocks)
+        return cls([(parse(b["eigenvalue"]), as_int(b["size"])) for b in data["blocks"]])
 
 
 def jordan_block(eigenvalue, size: int) -> ExactMatrix:

@@ -4,6 +4,10 @@ Subcommands: classify, witness, verify, weyr, selftest.  Input is Jordan
 data as JSON except for ``verify``, which takes raw matrices.  Exit codes
 encode the mathematical verdict, never the formatting: 0, 1 and 2 are
 verdicts, 3 is a usage or input error and 4 an internal error.
+
+Each ``cmd_*`` returns ``(payload, exit code)``, and ``main`` prints the
+payload once: as JSON, or as the text its subcommand's ``*_text`` renderer
+makes of it.  The payload is None when a refusal is already on stderr.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import sys
 
 from . import reversal, verify
 from .canonical import JordanSpec, weyr_form
-from .matrices import ExactMatrix, SingularMatrixError
+from .matrices import ExactMatrix, SingularMatrixError, format_grid
 from .partitions import Partition
 from .scalars import ScalarParseError
 
@@ -29,7 +33,7 @@ def _load_json(path: str):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError covers JSON and text decode errors
         raise CliInputError(f"{path}: {exc}") from exc
 
 
@@ -54,15 +58,7 @@ def _block_json(block) -> dict:
     return {"eigenvalue": str(eig), "size": size}
 
 
-def _emit(payload: dict, args) -> None:
-    print(json.dumps(payload, indent=2))
-
-
-def _spec_text(spec: JordanSpec) -> str:
-    return " + ".join(f"J({eig},{size})" for eig, size in spec.blocks)
-
-
-def cmd_classify(args) -> int:
+def cmd_classify(args) -> tuple[dict, int]:
     spec = _load_spec(args.input)
     report = reversal.classify(spec)
     pairing = report.pairing
@@ -89,111 +85,43 @@ def cmd_classify(args) -> int:
         "parity_value": report.parity_value,
         "parity_even": report.parity_even,
     }
-    if args.format == "json":
-        _emit(payload, args)
-    else:
-        print(f"spec: {_spec_text(spec)}   (n = {spec.n})")
-        print(f"reversible: {'yes' if report.reversible else 'no'}")
-        for i, j in pairing.pairs:
-            ei, si = spec.blocks[i]
-            ej, sj = spec.blocks[j]
-            print(f"  pair: J({ei},{si}) with J({ej},{sj})")
-        for i in pairing.singletons:
-            eig, size = spec.blocks[i]
-            print(f"  singleton: J({eig},{size})")
-        if pairing.failure_witness:
-            eig, size = pairing.failure_witness
-            print(f"  unmatched block: J({eig},{size})")
-        print(f"strongly reversible: {'yes' if report.strongly_reversible else 'no'}")
-        print(f"  +1 multiplicity {report.p}, block partition {list(report.partition_plus.parts)}")
-        print(f"  -1 multiplicity {report.q}, block partition {list(report.partition_minus.parts)}")
-        print(f"  odd block at eigenvalue +-1: {'yes' if report.odd_block_present else 'no'}")
-        parity = "even" if report.parity_even else "odd"
-        print(f"  parity value: {report.parity_value} ({parity})")
-        if report.partition_plus.parts:
-            print("Young diagram of the +1 structure:")
-            print(report.partition_plus.young_diagram())
-        if report.partition_minus.parts:
-            print("Young diagram of the -1 structure:")
-            print(report.partition_minus.young_diagram())
-    if report.strongly_reversible:
-        return 0
-    if report.reversible:
-        return 1
-    return 2
+    return payload, 0 if report.strongly_reversible else 1 if report.reversible else 2
 
 
-def cmd_witness(args) -> int:
+def cmd_witness(args) -> tuple[dict | None, int]:
     spec = _load_spec(args.input)
-    mode = "sl-only" if args.sl_only else "involutive"
     try:
         if args.sl_only:
             bundle = reversal.sl_reverser_witness(spec)
         else:
             bundle = reversal.involutive_witness(spec)
-    except reversal.NotStronglyReversibleError as exc:
+    except (reversal.NotStronglyReversibleError, reversal.NotReversibleError) as exc:
         print(f"refused: {exc}", file=sys.stderr)
-        return 1
-    except reversal.NotReversibleError as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        return 2
-    report = bundle.report
+        return None, 1 if isinstance(exc, reversal.NotStronglyReversibleError) else 2
     payload = {
         "spec": spec.to_json_dict(),
-        "mode": mode,
+        "mode": "sl-only" if args.sl_only else "involutive",
         "a": bundle.a.to_json_dict(),
         "g": bundle.g.to_json_dict(),
-        "verification": report.to_json_dict(),
+        "verification": bundle.report.to_json_dict(),
         "transcript": list(bundle.transcript),
     }
-    if args.format == "json":
-        _emit(payload, args)
-    else:
-        print(f"spec: {_spec_text(spec)}   (mode: {mode})")
-        print("A =")
-        print(str(bundle.a))
-        print("g =")
-        print(str(bundle.g))
-        print(
-            f"reverses: {report.reverses}, involution: {report.involution}, "
-            f"determinant: {report.determinant}"
-        )
-        if not report.involution:
-            square = bundle.g * bundle.g
-            if square == ExactMatrix.identity(square.rows).scale(-1):
-                print("note: g squares to -I")
-        for line in bundle.transcript:
-            print(f"  {line}")
-    return 0
+    return payload, 0
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[dict, int]:
     a = _load_matrix(args.matrix_a)
     g = _load_matrix(args.matrix_g)
     try:
         report = verify.check_witness(a, g)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        raise CliInputError(str(exc)) from exc
     except SingularMatrixError as exc:
-        print(f"error: first matrix must be invertible: {exc}", file=sys.stderr)
-        return 3
-    payload = {"report": report.to_json_dict()}
-    if args.format == "json":
-        _emit(payload, args)
-    else:
-        print(
-            f"reverses: {report.reverses}, involution: {report.involution}, "
-            f"determinant: {report.determinant} "
-            f"({'in' if report.in_special else 'not in'} the special linear group)"
-        )
-        for name, pos in report.residuals:
-            where = f" first difference at {pos}" if pos else ""
-            print(f"  failed: {name}{where}")
-    return 0 if report.all_good() else 1
+        raise CliInputError(f"first matrix must be invertible: {exc}") from exc
+    return {"report": report.to_json_dict()}, 0 if report.all_good() else 1
 
 
-def cmd_weyr(args) -> int:
+def cmd_weyr(args) -> tuple[dict, int]:
     spec = _load_spec(args.input)
     wf = weyr_form(spec)
     payload = {
@@ -205,35 +133,116 @@ def cmd_weyr(args) -> int:
         "matrix": wf.matrix.to_json_dict(),
         "permutation": list(wf.permutation.images),
     }
-    if args.format == "json":
-        _emit(payload, args)
-    else:
-        print(f"spec: {_spec_text(spec)}   (n = {spec.n})")
-        for (eig, jordan_partition), w in zip(spec.structures(), wf.structures):
-            print(f"eigenvalue {eig}:")
-            print(f"  Jordan structure {list(jordan_partition.parts)}:")
-            print(jordan_partition.young_diagram())
-            print(f"  Weyr structure {list(w.sizes)}:")
-            print(Partition(w.sizes).young_diagram())
-        print("Weyr matrix =")
-        print(str(wf.matrix))
-        print(f"basis permutation (Jordan position -> Weyr position, 1-based): "
-              f"{list(wf.permutation.images)}")
-    return 0
+    return payload, 0
 
 
-def cmd_selftest(args) -> int:
+def cmd_selftest(args) -> tuple[dict, int]:
+    if args.max_n < 1:
+        raise CliInputError(f"--max-n must be at least 1, got {args.max_n}")
     summary = verify.run_selftest(max_n=args.max_n, seed=args.seed)
-    if args.format == "json":
-        _emit(summary, args)
-    else:
-        for suite in summary["suites"]:
-            status = "ok" if not suite["failures"] else f"{len(suite['failures'])} FAILURES"
-            print(f"{suite['name']}: {suite['cases']} cases, {status}")
-            for failure in suite["failures"]:
-                print(f"  {failure}")
-        print(f"total failures: {summary['total_failures']}")
-    return 0 if summary["total_failures"] == 0 else 1
+    return summary, 0 if summary["total_failures"] == 0 else 1
+
+
+def _block_text(block: dict) -> str:
+    return f"J({block['eigenvalue']},{block['size']})"
+
+
+def _spec_text(spec: dict) -> str:
+    return " + ".join(map(_block_text, spec["blocks"]))
+
+
+def _yes_no(flag: bool) -> str:
+    return "yes" if flag else "no"
+
+
+def _report_text(report: dict) -> str:
+    return (
+        f"reverses: {report['reverses']}, involution: {report['involution']}, "
+        f"determinant: {report['determinant']}"
+    )
+
+
+def classify_text(p: dict) -> str:
+    lines = [
+        f"spec: {_spec_text(p['spec'])}   (n = {p['n']})",
+        f"reversible: {_yes_no(p['reversible'])}",
+    ]
+    pairing = p["pairing"]
+    lines += [f"  pair: {_block_text(x)} with {_block_text(y)}" for x, y in pairing["pairs"]]
+    lines += [f"  singleton: {_block_text(b)}" for b in pairing["singletons"]]
+    if p["failure_witness"]:
+        lines.append(f"  unmatched block: {_block_text(p['failure_witness'])}")
+    plus, minus = p["plus_one_partition"], p["minus_one_partition"]
+    lines += [
+        f"strongly reversible: {_yes_no(p['strongly_reversible'])}",
+        f"  +1 multiplicity {p['plus_one_multiplicity']}, block partition {plus}",
+        f"  -1 multiplicity {p['minus_one_multiplicity']}, block partition {minus}",
+        f"  odd block at eigenvalue +-1: {_yes_no(p['odd_block_present'])}",
+        f"  parity value: {p['parity_value']} ({'even' if p['parity_even'] else 'odd'})",
+    ]
+    for sign, parts in (("+1", plus), ("-1", minus)):
+        if parts:
+            lines += [f"Young diagram of the {sign} structure:", Partition(parts).young_diagram()]
+    return "\n".join(lines)
+
+
+def witness_text(p: dict) -> str:
+    lines = [
+        f"spec: {_spec_text(p['spec'])}   (mode: {p['mode']})",
+        "A =",
+        format_grid(p["a"]["entries"]),
+        "g =",
+        format_grid(p["g"]["entries"]),
+        _report_text(p["verification"]),
+    ]
+    if not p["verification"]["involution"]:
+        g = ExactMatrix.from_json_dict(p["g"])
+        if g * g == ExactMatrix.identity(g.rows).scale(-1):
+            lines.append("note: g squares to -I")
+    lines += [f"  {line}" for line in p["transcript"]]
+    return "\n".join(lines)
+
+
+def verify_text(p: dict) -> str:
+    report = p["report"]
+    special = "in" if report["in_special"] else "not in"
+    lines = [f"{_report_text(report)} ({special} the special linear group)"]
+    for residual in report["residuals"]:
+        pos = residual["position"]
+        where = f" first difference at {tuple(pos)}" if pos else ""
+        lines.append(f"  failed: {residual['check']}{where}")
+    return "\n".join(lines)
+
+
+def weyr_text(p: dict) -> str:
+    blocks = p["spec"]["blocks"]
+    lines = [f"spec: {_spec_text(p['spec'])}   (n = {sum(b['size'] for b in blocks)})"]
+    for w in p["structures"]:
+        jordan = Partition(b["size"] for b in blocks if b["eigenvalue"] == w["eigenvalue"])
+        lines += [
+            f"eigenvalue {w['eigenvalue']}:",
+            f"  Jordan structure {list(jordan.parts)}:",
+            jordan.young_diagram(),
+            f"  Weyr structure {w['sizes']}:",
+            Partition(w["sizes"]).young_diagram(),
+        ]
+    lines += [
+        "Weyr matrix =",
+        format_grid(p["matrix"]["entries"]),
+        f"basis permutation (Jordan position -> Weyr position, 1-based): {p['permutation']}",
+    ]
+    return "\n".join(lines)
+
+
+def selftest_text(summary: dict) -> str:
+    lines = []
+    for suite in summary["suites"]:
+        failures = suite["failures"]
+        status = f"{len(failures)} FAILURES" if failures else "ok"
+        lines.append(f"{suite['name']}: {suite['cases']} cases, {status}")
+        lines += [f"  {failure}" for failure in failures]
+    lines.append(f"total failures: {summary['total_failures']}")
+    return "\n".join(lines)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -253,7 +262,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_classify = sub.add_parser("classify", help="classify a Jordan spec")
     p_classify.add_argument("--input", required=True, help="JordanSpec JSON file")
     add_format(p_classify)
-    p_classify.set_defaults(func=cmd_classify)
+    p_classify.set_defaults(func=cmd_classify, render=classify_text)
 
     p_witness = sub.add_parser("witness", help="construct a reversing witness")
     p_witness.add_argument("--input", required=True, help="JordanSpec JSON file")
@@ -269,24 +278,24 @@ def _build_parser() -> argparse.ArgumentParser:
         help="only require determinant one, not an involution",
     )
     add_format(p_witness)
-    p_witness.set_defaults(func=cmd_witness)
+    p_witness.set_defaults(func=cmd_witness, render=witness_text)
 
     p_verify = sub.add_parser("verify", help="verify a user-supplied reverser")
     p_verify.add_argument("--matrix-a", required=True, help="matrix JSON file")
     p_verify.add_argument("--matrix-g", required=True, help="matrix JSON file")
     add_format(p_verify)
-    p_verify.set_defaults(func=cmd_verify)
+    p_verify.set_defaults(func=cmd_verify, render=verify_text)
 
     p_weyr = sub.add_parser("weyr", help="display Weyr data of a Jordan spec")
     p_weyr.add_argument("--input", required=True, help="JordanSpec JSON file")
     add_format(p_weyr)
-    p_weyr.set_defaults(func=cmd_weyr)
+    p_weyr.set_defaults(func=cmd_weyr, render=weyr_text)
 
     p_selftest = sub.add_parser("selftest", help="run the verification suites")
     p_selftest.add_argument("--max-n", type=int, default=6)
     p_selftest.add_argument("--seed", type=int, default=0)
     add_format(p_selftest)
-    p_selftest.set_defaults(func=cmd_selftest)
+    p_selftest.set_defaults(func=cmd_selftest, render=selftest_text)
 
     return parser
 
@@ -299,7 +308,10 @@ def main(argv=None) -> int:
         # argparse exits 0 after --help and 2 on a usage error; 2 is a verdict
         return 0 if exc.code == 0 else 3
     try:
-        return args.func(args)
+        payload, code = args.func(args)
+        if payload is not None:
+            print(json.dumps(payload, indent=2) if args.format == "json" else args.render(payload))
+        return code
     except CliInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

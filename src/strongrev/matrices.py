@@ -20,6 +20,7 @@ __all__ = [
     "VerificationReport",
     "check_witness",
     "direct_sum",
+    "format_grid",
     "inflate",
     "offsets",
 ]
@@ -33,6 +34,47 @@ def offsets(sizes: Iterable[int]) -> tuple[int, ...]:
     """Start index of each block when blocks of the given sizes are laid
     end to end from index 0."""
     return tuple(itertools.accumulate(sizes, initial=0))[:-1]
+
+
+def format_grid(text: Sequence[Sequence[str]]) -> str:
+    """Rows of entry text in brackets, each column right-aligned."""
+    widths = [max(map(len, column)) for column in zip(*text)]
+    return "\n".join(
+        "[" + "  ".join(t.rjust(w) for t, w in zip(row, widths)) + "]" for row in text
+    )
+
+
+def _eliminate(m: list[list[GaussianRational]], n: int) -> int:
+    """Bring the leading n x n block of the rows ``m`` to upper triangular
+    form in place.  Row operations act on whole rows, so columns past n (an
+    augmented block) are carried along.
+
+    Each pivot is the first nonzero entry at or below the diagonal
+    (exactness makes pivot magnitude irrelevant); it is inverted once, and
+    only if a row below it needs clearing.  Returns the sign of the row
+    permutation, or 0 if a column has no pivot (the block is singular).
+    """
+    sign = 1
+    for col in range(n):
+        for r in range(col, n):
+            if m[r][col]:
+                break
+        else:
+            return 0
+        if r != col:
+            m[col], m[r] = m[r], m[col]
+            sign = -sign
+        prow = m[col]
+        pivot_inv = None
+        for row in m[col + 1 : n]:
+            if not row[col]:
+                continue
+            if pivot_inv is None:
+                pivot_inv = prow[col].inverse()
+                tail = prow[col:]
+            ratio = row[col] * pivot_inv
+            row[col:] = [a - ratio * b if b else a for a, b in zip(row[col:], tail)]
+    return sign
 
 
 @dataclass(frozen=True, slots=True)
@@ -68,10 +110,6 @@ class ExactMatrix:
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
         return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "ExactMatrix":
-        return cls([[ZERO] * cols for _ in range(rows)])
 
     @classmethod
     def diagonal(cls, values: Sequence) -> "ExactMatrix":
@@ -172,72 +210,38 @@ class ExactMatrix:
         return ExactMatrix(out)
 
     def det(self) -> GaussianRational:
-        """Exact determinant by Gaussian elimination.
-
-        Pivots are the first nonzero entry in each column (exactness makes
-        pivot magnitude irrelevant); row swaps flip the tracked sign.
-        """
+        """Exact determinant: the signed product of the diagonal left by
+        :func:`_eliminate`."""
         if not self.is_square():
             raise ValueError("determinant of a non-square matrix")
-        n = self.rows
         m = [list(row) for row in self._rows]
-        sign = 1
-        for col in range(n):
-            pivot_row = None
-            for r in range(col, n):
-                if m[r][col]:
-                    pivot_row = r
-                    break
-            if pivot_row is None:
-                return ZERO
-            if pivot_row != col:
-                m[col], m[pivot_row] = m[pivot_row], m[col]
-                sign = -sign
-            pivot = m[col][col]
-            for r in range(col + 1, n):
-                factor = m[r][col]
-                if not factor:
-                    continue
-                ratio = factor / pivot
-                row = m[r]
-                prow = m[col]
-                for j in range(col, n):
-                    row[j] = row[j] - ratio * prow[j]
+        sign = _eliminate(m, self.rows)
+        if not sign:
+            return ZERO
         result = ONE if sign == 1 else -ONE
-        for idx in range(n):
-            result = result * m[idx][idx]
+        for i, row in enumerate(m):
+            result = result * row[i]
         return result
 
     def inverse(self) -> "ExactMatrix":
-        """Exact inverse via elimination on the augmented matrix."""
+        """Exact inverse: :func:`_eliminate` on ``[A | I]``, then back
+        substitution through the triangular ``A`` part."""
         if not self.is_square():
             raise ValueError("inverse of a non-square matrix")
         n = self.rows
-        m = [list(row) for row in self._rows]
-        inv = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-        for col in range(n):
-            pivot_row = None
-            for r in range(col, n):
-                if m[r][col]:
-                    pivot_row = r
-                    break
-            if pivot_row is None:
-                raise SingularMatrixError("matrix is singular")
-            if pivot_row != col:
-                m[col], m[pivot_row] = m[pivot_row], m[col]
-                inv[col], inv[pivot_row] = inv[pivot_row], inv[col]
-            pivot = m[col][col]
-            pivot_inv = pivot.inverse()
-            m[col] = [v * pivot_inv for v in m[col]]
-            inv[col] = [v * pivot_inv for v in inv[col]]
-            for r in range(n):
-                if r == col:
-                    continue
-                factor = m[r][col]
-                if not factor:
-                    continue
-                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-                inv[r] = [a - factor * b for a, b in zip(inv[r], inv[col])]
+        m = [row + [ONE if i == j else ZERO for j in range(n)] for i, row in enumerate(self._rows)]
+        if not _eliminate(m, n):
+            raise SingularMatrixError("matrix is singular")
+        inv: list[list[GaussianRational]] = [[]] * n
+        for i in range(n - 1, -1, -1):
+            row = m[i]
+            acc = row[n:]
+            for k in range(i + 1, n):
+                u = row[k]
+                if u:
+                    acc = [a - u * b if b else a for a, b in zip(acc, inv[k])]
+            pivot_inv = row[i].inverse()
+            inv[i] = [pivot_inv * a for a in acc]
         return ExactMatrix(inv)
 
     def is_identity(self) -> bool:
@@ -256,12 +260,9 @@ class ExactMatrix:
     def from_json_dict(cls, data: dict) -> "ExactMatrix":
         """Strict reader: rows and cols are JSON integers and entries is a
         list of lists of scalar text; nothing else is coerced."""
-        rows = data["rows"]
-        cols = data["cols"]
+        rows = as_int(data["rows"])
+        cols = as_int(data["cols"])
         entries = data["entries"]
-        for dim in (rows, cols):
-            if not isinstance(dim, int) or isinstance(dim, bool):
-                raise ValueError(f"rows and cols must be integers, got {dim!r}")
         if not isinstance(entries, list) or not all(isinstance(r, list) for r in entries):
             raise ValueError("entries must be a list of rows, each a list")
         if len(entries) != rows or any(len(r) != cols for r in entries):
@@ -269,13 +270,7 @@ class ExactMatrix:
         return cls([[parse(v) for v in row] for row in entries])
 
     def __str__(self) -> str:
-        text = [[str(v) for v in row] for row in self._rows]
-        widths = [max(len(text[i][j]) for i in range(self.rows)) for j in range(self.cols)]
-        lines = [
-            "[" + "  ".join(t.rjust(w) for t, w in zip(row, widths)) + "]"
-            for row in text
-        ]
-        return "\n".join(lines)
+        return format_grid([[str(v) for v in row] for row in self._rows])
 
     def __repr__(self) -> str:
         return f"<ExactMatrix {self.rows}x{self.cols}>"

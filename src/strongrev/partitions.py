@@ -92,9 +92,9 @@ class Partition:
             pairs.append((running, size - next_size))
         return Partition.from_multiplicities(pairs)
 
-    def young_diagram(self, box: str = "[]") -> str:
-        """Left-justified rows of box glyphs, row i holding parts[i] boxes."""
-        return "\n".join(box * p for p in self.parts)
+    def young_diagram(self) -> str:
+        """Left-justified rows of "[]" boxes, row i holding parts[i] boxes."""
+        return "\n".join("[]" * p for p in self.parts)
 
 
 @dataclass(frozen=True)

@@ -285,7 +285,8 @@ I = GaussianRational(0, 1)
 _RAT = r"-?\d+(?:/\d+)?"
 _SCALAR = _re.compile(
     rf"(?:(?P<real>{_RAT})(?=[+-]|$))?"
-    rf"(?:(?P<isign>[+-])?(?P<imag>\d+(?:/\d+)?)?(?P<unit>i))?"
+    rf"(?:(?P<isign>[+-])?(?P<imag>\d+(?:/\d+)?)?(?P<unit>i))?",
+    _re.ASCII,
 )
 
 

@@ -18,6 +18,7 @@ from . import reversal
 from .canonical import (
     JordanSpec,
     WeyrStructure,
+    _random_scalar,
     basic_weyr_matrix,
     homogeneous_weyr,
     jordan_block,
@@ -233,18 +234,13 @@ def classification_sweep(gen: SpecGenerator) -> dict:
     return summary
 
 
-def _random_matrix(rows: int, cols: int, rng: random.Random, bound: int = 3) -> ExactMatrix:
-    return ExactMatrix(
-        [
-            [GaussianRational(rng.randint(-bound, bound), rng.randint(-bound, bound)) for _ in range(cols)]
-            for _ in range(rows)
-        ]
-    )
+def _random_matrix(rows: int, cols: int, rng: random.Random) -> ExactMatrix:
+    return ExactMatrix([[_random_scalar(rng) for _ in range(cols)] for _ in range(rows)])
 
 
-def _random_invertible(n: int, rng: random.Random, bound: int = 3) -> ExactMatrix:
+def _random_invertible(n: int, rng: random.Random) -> ExactMatrix:
     while True:
-        candidate = _random_matrix(n, n, rng, bound)
+        candidate = _random_matrix(n, n, rng)
         if candidate.det():
             return candidate
 
@@ -562,9 +558,7 @@ def suite_reverser_laws(seed: int = 0, max_size: int = 12, draws: int = 20) -> d
         for _ in range(draws):
             summary["cases"] += 1
             lam = _random_nonzero_scalar(rng)
-            values = [_random_nonzero_scalar(rng)] + [
-                GaussianRational(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(n - 1)
-            ]
+            values = [_random_nonzero_scalar(rng)] + [_random_scalar(rng) for _ in range(n - 1)]
             g = reversal.jordan_reverser_general(lam, values)
             lhs = g * jordan_block(lam.inverse(), n)
             rhs = jordan_block(lam, n).inverse() * g

@@ -286,6 +286,39 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == "internal error: RuntimeError('classifier broke')\n"
 
+    def test_undecodable_file_exits_3(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff{}")
+        good = matrix_file(tmp_path, ExactMatrix.identity(1), "good.json")
+        for argv in (
+            ["classify", "--input", str(bad)],
+            ["verify", "--matrix-a", str(bad), "--matrix-g", good],
+        ):
+            assert main(argv) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"error: {bad}: ")
+
+    @pytest.mark.parametrize("max_n", ["0", "-3"])
+    def test_selftest_max_n_below_1_exits_3(self, capsys, max_n):
+        assert main(["selftest", "--max-n", max_n]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --max-n must be at least 1, got {max_n}\n"
+
+    def test_failing_text_renderer_leaves_stdout_empty(self, tmp_path, capsys, monkeypatch):
+        import strongrev.cli as cli_module
+
+        def broken(text):
+            raise RuntimeError("renderer broke")
+
+        monkeypatch.setattr(cli_module, "format_grid", broken)
+        path = spec_file(tmp_path, [("1", 2)] * 3)
+        assert main(["witness", "--input", path, "--sl-only"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "internal error: RuntimeError('renderer broke')\n"
+
 
 class TestModuleExecution:
     def test_python_m_runs_the_cli(self, tmp_path):

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from strongrev.cli import main
+from strongrev.cli import _build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -59,6 +59,21 @@ def test_output_matches_recording(case):
     assert out.encode() == (GOLDEN / f"{case}.out").read_bytes()
     assert code == expected["exit"]
     assert err == expected["stderr"]
+
+
+TEXT_CASES = sorted(
+    case for case in CASES if case.endswith("-text") and (GOLDEN / f"{case}.out").read_bytes()
+)
+
+
+@pytest.mark.parametrize("case", TEXT_CASES)
+def test_text_is_rendered_from_json(case):
+    """The text recording is the subcommand's renderer applied to the parsed
+    JSON output of the same request."""
+    _, out, _ = run_case(CASES[case.removesuffix("-text") + "-json"])
+    render = _build_parser().parse_args(CASES[case]).render
+    text = render(json.loads(out)) + "\n"
+    assert text.encode() == (GOLDEN / f"{case}.out").read_bytes()
 
 
 if __name__ == "__main__":

@@ -131,7 +131,10 @@ class TestParseFormat:
         assert str(G(1, 1)) == "1+i"
         assert str(G(0, Fraction(-1, 3))) == "-1/3i"
 
-    @pytest.mark.parametrize("bad", ["", "abc", "1/0", "++i", "1+", "i2", "1 + i", "1/2/3"])
+    @pytest.mark.parametrize(
+        "bad",
+        ["", "abc", "1/0", "++i", "1+", "i2", "1 + i", "1/2/3", "\u0663", "1/\u0662", "\u0663i"],
+    )
     def test_parse_errors(self, bad):
         with pytest.raises(ScalarParseError) as info:
             parse(bad)
