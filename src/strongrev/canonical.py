@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from typing import Iterable
 
 from .matrices import ExactMatrix, PermutationMap, direct_sum, inflate, offsets
@@ -70,21 +72,14 @@ class JordanSpec:
 
     def eigenvalues(self) -> tuple[GaussianRational, ...]:
         """Distinct eigenvalues in canonical order."""
-        seen: list[GaussianRational] = []
-        for eig, _ in self.blocks:
-            if not seen or seen[-1] != eig:
-                seen.append(eig)
-        return tuple(seen)
+        return tuple(eig for eig, _ in groupby(self.blocks, key=itemgetter(0)))
 
     def structures(self) -> tuple[tuple[GaussianRational, Partition], ...]:
         """Per-eigenvalue Jordan structure, canonical eigenvalue order."""
-        out: list[tuple[GaussianRational, list[int]]] = []
-        for eig, size in self.blocks:
-            if out and out[-1][0] == eig:
-                out[-1][1].append(size)
-            else:
-                out.append((eig, [size]))
-        return tuple((eig, Partition(sizes)) for eig, sizes in out)
+        return tuple(
+            (eig, Partition(size for _, size in run))
+            for eig, run in groupby(self.blocks, key=itemgetter(0))
+        )
 
     def multiplicity(self, eigenvalue) -> int:
         eigenvalue = as_scalar(eigenvalue)

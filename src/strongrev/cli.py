@@ -20,9 +20,13 @@ from . import reversal, verify
 from .canonical import JordanSpec, weyr_form
 from .matrices import ExactMatrix, SingularMatrixError, format_grid
 from .partitions import Partition
-from .scalars import ScalarParseError
+from .scalars import ScalarParseError, as_int
 
 __all__ = ["main", "entrypoint"]
+
+# witness, weyr and verify refuse (exit 3) an input whose dense matrix would
+# have more rows or columns than this, before building it; classify builds none.
+MAX_DIMENSION = 512
 
 
 class CliInputError(Exception):
@@ -45,9 +49,15 @@ def _load_spec(path: str) -> JordanSpec:
         raise CliInputError(f"{path}: invalid Jordan spec: {exc}") from exc
 
 
+def _check_dimension(path: str, n: int) -> None:
+    if n > MAX_DIMENSION:
+        raise CliInputError(f"{path}: matrix dimension {n} exceeds the limit {MAX_DIMENSION}")
+
+
 def _load_matrix(path: str) -> ExactMatrix:
     data = _load_json(path)
     try:
+        _check_dimension(path, max(as_int(data["rows"]), as_int(data["cols"])))
         return ExactMatrix.from_json_dict(data)
     except (KeyError, TypeError, ValueError, ScalarParseError) as exc:
         raise CliInputError(f"{path}: invalid matrix: {exc}") from exc
@@ -90,6 +100,7 @@ def cmd_classify(args) -> tuple[dict, int]:
 
 def cmd_witness(args) -> tuple[dict | None, int]:
     spec = _load_spec(args.input)
+    _check_dimension(args.input, spec.n)
     try:
         if args.sl_only:
             bundle = reversal.sl_reverser_witness(spec)
@@ -123,6 +134,7 @@ def cmd_verify(args) -> tuple[dict, int]:
 
 def cmd_weyr(args) -> tuple[dict, int]:
     spec = _load_spec(args.input)
+    _check_dimension(args.input, spec.n)
     wf = weyr_form(spec)
     payload = {
         "spec": spec.to_json_dict(),

@@ -325,31 +325,27 @@ def involution_det_sign(spec: JordanSpec) -> DetSignPrediction:
 
 
 def assemble_block_reverser(
-    spec: JordanSpec,
-    pairing: ReversibilityReport,
-    singleton_scale: dict,
-    pair_scale: dict,
+    spec: JordanSpec, pairing: ReversibilityReport, scales: Sequence[GaussianRational]
 ) -> ExactMatrix:
-    """Blockwise reverser of jordan_matrix(spec) from per-block scalings.
+    """Blockwise reverser of jordan_matrix(spec) from one scale per block.
 
-    Each singleton index idx contributes singleton_scale[idx] * R(mu, d) on
-    its diagonal block; each pair (i, j) contributes x1 * R(lam, r) in the
-    (i, j) block position and y1 * R(1/lam, r) in (j, i), where
-    (x1, y1) = pair_scale[(i, j)].  The result is an involution exactly when
-    every singleton scale squares to 1 and every pair has x1 * y1 == 1.
+    Block idx = (lam, d) contributes scales[idx] * R(lam, d) at block position
+    (idx, partner): the partner is idx itself for a singleton and the other
+    block of its pair otherwise, which pair_blocks makes (1/lam, d).  The
+    result is an involution exactly when every singleton scale squares to 1
+    and the two scales of every pair multiply to 1.
     """
-    offs = offsets(size for _, size in spec.blocks)
-    placements = []
-    for idx in pairing.singletons:
-        eig, size = spec.blocks[idx]
-        block = singleton_scale[idx] * jordan_reverser(eig, size)
-        placements.append((offs[idx], offs[idx], block))
+    partner = {idx: idx for idx in pairing.singletons}
     for i, j in pairing.pairs:
-        lam, size = spec.blocks[i]
-        x1, y1 = pair_scale[(i, j)]
-        placements.append((offs[i], offs[j], x1 * jordan_reverser(lam, size)))
-        placements.append((offs[j], offs[i], y1 * jordan_reverser(lam.inverse(), size)))
-    return ExactMatrix.from_blocks(spec.n, placements)
+        partner[i], partner[j] = j, i
+    offs = offsets(size for _, size in spec.blocks)
+    return ExactMatrix.from_blocks(
+        spec.n,
+        [
+            (offs[idx], offs[partner[idx]], scales[idx] * jordan_reverser(eig, size))
+            for idx, (eig, size) in enumerate(spec.blocks)
+        ],
+    )
 
 
 def _verified_bundle(
@@ -372,7 +368,7 @@ def involutive_witness(spec: JordanSpec) -> WitnessBundle:
     """Involution g in SL with g * A * g == A^{-1} for A = jordan_matrix(spec).
 
     Even +-1 blocks and block pairs have forced determinant signs; odd +-1
-    blocks take the sign x1 = +-(-1)^(d(d-1)/2), which leaves their own
+    blocks take the scale +-(-1)^(d(d-1)/2), which leaves their own
     contribution selectable.  All blocks default to contribution +1; if the
     forced product is -1 one odd block is flipped, and the classifier
     guarantees such a block exists whenever the spec is strongly reversible.
@@ -384,29 +380,25 @@ def involutive_witness(spec: JordanSpec) -> WitnessBundle:
         raise NotStronglyReversibleError(involution_det_sign(spec))
     pairing = report.pairing
     transcript: list[str] = []
-    singleton_scale: dict[int, GaussianRational] = {}
+    scales = [ONE] * len(spec.blocks)
     odd_indices: list[int] = []
     forced = 1
     for idx in pairing.singletons:
         eig, size = spec.blocks[idx]
         if size % 2 == 0:
-            singleton_scale[idx] = ONE
             contribution = -1 if size % 4 == 2 else 1
             forced *= contribution
             transcript.append(
                 f"block {idx}: J({eig},{size}) even, scale 1, det {contribution:+d}"
             )
         else:
-            base = _sign_value(size * (size - 1) // 2)
-            singleton_scale[idx] = base
+            scales[idx] = _sign_value(size * (size - 1) // 2)
             odd_indices.append(idx)
             transcript.append(
-                f"block {idx}: J({eig},{size}) odd, scale {base}, det +1"
+                f"block {idx}: J({eig},{size}) odd, scale {scales[idx]}, det +1"
             )
-    pair_scale: dict[tuple[int, int], tuple[GaussianRational, GaussianRational]] = {}
     for i, j in pairing.pairs:
         lam, size = spec.blocks[i]
-        pair_scale[(i, j)] = (ONE, ONE)
         contribution = -1 if size % 2 else 1
         forced *= contribution
         transcript.append(
@@ -420,9 +412,9 @@ def involutive_witness(spec: JordanSpec) -> WitnessBundle:
                 "classifier and constructor disagree"
             )
         flip = odd_indices[0]
-        singleton_scale[flip] = -singleton_scale[flip]
+        scales[flip] = -scales[flip]
         transcript.append(f"block {flip}: flipped scale to absorb forced sign -1")
-    g = assemble_block_reverser(spec, pairing, singleton_scale, pair_scale)
+    g = assemble_block_reverser(spec, pairing, scales)
     return _verified_bundle(spec, g, transcript, require_involution=True)
 
 
@@ -431,8 +423,8 @@ def sl_reverser_witness(spec: JordanSpec) -> WitnessBundle:
 
     Per-block scalar scalings force every block's determinant contribution
     to +1: odd +-1 blocks as in involutive_witness, +-1 blocks of size
-    2 mod 4 scale by -i (so g squares to -1 on that block), and odd-size
-    pairs take y1 = -1.
+    2 mod 4 scale by -i (so g squares to -1 on that block), and the second
+    block of an odd-size pair scales by -1.
     """
     report = classify(spec)
     if not report.reversible:
@@ -445,26 +437,22 @@ def sl_reverser_witness(spec: JordanSpec) -> WitnessBundle:
         )
     pairing = report.pairing
     transcript: list[str] = []
-    singleton_scale: dict[int, GaussianRational] = {}
+    scales = [ONE] * len(spec.blocks)
     for idx in pairing.singletons:
         eig, size = spec.blocks[idx]
         if size % 2 == 1:
-            scale = _sign_value(size * (size - 1) // 2)
-        elif size % 4 == 0:
-            scale = ONE
-        else:
-            scale = -IMAGINARY
-        singleton_scale[idx] = scale
-        transcript.append(f"block {idx}: J({eig},{size}) scale {scale}, det +1")
-    pair_scale: dict[tuple[int, int], tuple[GaussianRational, GaussianRational]] = {}
+            scales[idx] = _sign_value(size * (size - 1) // 2)
+        elif size % 4 == 2:
+            scales[idx] = -IMAGINARY
+        transcript.append(f"block {idx}: J({eig},{size}) scale {scales[idx]}, det +1")
     for i, j in pairing.pairs:
         lam, size = spec.blocks[i]
-        scales = (ONE, ONE) if size % 2 == 0 else (ONE, MINUS_ONE)
-        pair_scale[(i, j)] = scales
+        if size % 2:
+            scales[j] = MINUS_ONE
         transcript.append(
-            f"pair ({i},{j}): J({lam},{size}) scales ({scales[0]}, {scales[1]}), det +1"
+            f"pair ({i},{j}): J({lam},{size}) scales ({scales[i]}, {scales[j]}), det +1"
         )
-    g = assemble_block_reverser(spec, pairing, singleton_scale, pair_scale)
+    g = assemble_block_reverser(spec, pairing, scales)
     return _verified_bundle(spec, g, transcript, require_involution=False)
 
 

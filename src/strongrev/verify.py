@@ -138,26 +138,21 @@ class SpecGenerator:
             yield JordanSpec(blocks)
 
 
-_PAIR_SCALES = (
-    (ONE, ONE),
-    (MINUS_ONE, MINUS_ONE),
-    (IMAGINARY, -IMAGINARY),
-    (-IMAGINARY, IMAGINARY),
-)
-
-
 def iter_involutive_reversers(
     spec: JordanSpec, pairing: reversal.ReversibilityReport
 ) -> Iterator[ExactMatrix]:
     """Every blockwise involutive reverser the harness knows how to build:
-    all +-1 sign patterns on singleton blocks, and all pair scalings with
-    x1 * y1 == 1 drawn from units {1, -1, i, -i}."""
-    singleton_choices = itertools.product((ONE, MINUS_ONE), repeat=len(pairing.singletons))
-    for singleton_combo in singleton_choices:
-        singleton_scale = dict(zip(pairing.singletons, singleton_combo))
-        for pair_combo in itertools.product(_PAIR_SCALES, repeat=len(pairing.pairs)):
-            pair_scale = dict(zip(pairing.pairs, pair_combo))
-            yield reversal.assemble_block_reverser(spec, pairing, singleton_scale, pair_scale)
+    all +-1 sign patterns on singleton blocks, and every pair scaled by
+    (u, 1/u) for the units u in 1, -1, i, -i."""
+    scales = [ONE] * len(spec.blocks)
+    units = (ONE, MINUS_ONE, IMAGINARY, -IMAGINARY)
+    for signs in itertools.product((ONE, MINUS_ONE), repeat=len(pairing.singletons)):
+        for idx, sign in zip(pairing.singletons, signs):
+            scales[idx] = sign
+        for combo in itertools.product(units, repeat=len(pairing.pairs)):
+            for (i, j), u in zip(pairing.pairs, combo):
+                scales[i], scales[j] = u, u.inverse()
+            yield reversal.assemble_block_reverser(spec, pairing, scales)
 
 
 def _new_summary(name: str) -> dict:
@@ -373,13 +368,12 @@ def semisimple_cross_check(gen: SpecGenerator) -> dict:
     return summary
 
 
-def cross_path_check(max_n: int = 10, pair_eigenvalues: Sequence | None = None) -> dict:
+def cross_path_check(max_n: int = 10) -> dict:
     """Classifier verdicts must match all four special-case arguments:
     semisimple specs, unipotent specs, eigenvalue -1 specs, and single
-    lam/1-over-lam pairs, for every applicable spec of size <= max_n."""
+    lam/1-over-lam pairs (lam = 2 and i), for every applicable spec of size
+    <= max_n."""
     summary = _new_summary("cross_path_check")
-    if pair_eigenvalues is None:
-        pair_eigenvalues = (GaussianRational(2), IMAGINARY)
     semisimple_gen = SpecGenerator(max_n, DEFAULT_POOL, max_block_size=1)
     for spec in semisimple_gen.specs():
         _compare(summary, spec, semisimple_strong_verdict(spec), "semisimple")
@@ -388,8 +382,7 @@ def cross_path_check(max_n: int = 10, pair_eigenvalues: Sequence | None = None) 
             for mu, label in ((ONE, "unipotent"), (MINUS_ONE, "eigenvalue -1")):
                 spec = JordanSpec((mu, d) for d in parts)
                 _compare(summary, spec, sign_eigenvalue_strong_verdict(spec, mu), label)
-    for lam in pair_eigenvalues:
-        lam = as_scalar(lam)
+    for lam in (GaussianRational(2), IMAGINARY):
         for half in range(1, max_n // 2 + 1):
             for parts in iter_partitions(half):
                 blocks = [(lam, d) for d in parts] + [(lam.inverse(), d) for d in parts]
@@ -398,7 +391,7 @@ def cross_path_check(max_n: int = 10, pair_eigenvalues: Sequence | None = None) 
     return summary
 
 
-def suite_scalar_laws(seed: int = 0, trials: int = 1000) -> dict:
+def suite_scalar_laws(seed: int = 0) -> dict:
     """Field axioms and power additivity on random Gaussian rationals."""
     summary = _new_summary("scalar_laws")
     rng = random.Random(seed)
@@ -409,7 +402,7 @@ def suite_scalar_laws(seed: int = 0, trials: int = 1000) -> dict:
             Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
         )
 
-    for _ in range(trials):
+    for _ in range(1000):
         summary["cases"] += 1
         a, b, c = draw(), draw(), draw()
         ok = (
@@ -432,13 +425,13 @@ def suite_scalar_laws(seed: int = 0, trials: int = 1000) -> dict:
     return summary
 
 
-def suite_matrix_laws(seed: int = 0, inverse_trials: int = 200, max_size: int = 8) -> dict:
+def suite_matrix_laws(seed: int = 0) -> dict:
     """Inverse identity, determinant multiplicativity, permutation signs."""
     summary = _new_summary("matrix_laws")
     rng = random.Random(seed)
-    for _ in range(inverse_trials):
+    for _ in range(200):
         summary["cases"] += 1
-        n = rng.randint(1, max_size)
+        n = rng.randint(1, 8)
         a = _random_invertible(n, rng)
         if not (a * a.inverse()).is_identity():
             _fail(summary, problem=f"inverse law violated at size {n}")
@@ -494,11 +487,10 @@ def suite_partition_laws(seed: int = 0, trials: int = 500) -> dict:
     return summary
 
 
-def suite_canonical_laws(seed: int = 0, trials: int = 200, pool: Sequence | None = None) -> dict:
+def suite_canonical_laws(seed: int = 0, trials: int = 200) -> dict:
     """Weyr duality on random specs and centralizer samples on random structures."""
     summary = _new_summary("canonical_laws")
-    pool = DEFAULT_POOL if pool is None else pool
-    gen = SpecGenerator(10, pool, mode="random", seed=seed, count=trials)
+    gen = SpecGenerator(10, DEFAULT_POOL, mode="random", seed=seed, count=trials)
     for spec in gen.specs():
         summary["cases"] += 1
         try:
@@ -513,7 +505,7 @@ def suite_canonical_laws(seed: int = 0, trials: int = 200, pool: Sequence | None
     for _ in range(trials):
         summary["cases"] += 1
         parts = _random_partition(rng, 8).parts
-        structure = WeyrStructure(rng.choice(list(pool)), parts)
+        structure = WeyrStructure(rng.choice(DEFAULT_POOL), parts)
         sample = sample_centralizer(structure, rng.randrange(2**63))
         weyr = basic_weyr_matrix(structure)
         if sample * weyr != weyr * sample:
@@ -535,13 +527,13 @@ def _random_nonzero_scalar(rng: random.Random) -> GaussianRational:
             return value
 
 
-def suite_reverser_laws(seed: int = 0, max_size: int = 12, draws: int = 20) -> dict:
+def suite_reverser_laws(seed: int = 0) -> dict:
     """Closed form vs recurrence, the inverse law, involutivity at +-1, and
     the reversal identity for Toeplitz-scaled reversers."""
     summary = _new_summary("reverser_laws")
     rng = random.Random(seed)
-    for n in range(1, max_size + 1):
-        for _ in range(draws):
+    for n in range(1, 13):
+        for _ in range(20):
             summary["cases"] += 1
             lam = _random_nonzero_scalar(rng)
             closed = reversal.jordan_reverser(lam, n)
@@ -555,7 +547,7 @@ def suite_reverser_laws(seed: int = 0, max_size: int = 12, draws: int = 20) -> d
             if not (r * r).is_identity():
                 _fail(summary, n=n, problem=f"reverser at {mu} is not an involution")
     for n in range(1, 11):
-        for _ in range(draws):
+        for _ in range(20):
             summary["cases"] += 1
             lam = _random_nonzero_scalar(rng)
             values = [_random_nonzero_scalar(rng)] + [_random_scalar(rng) for _ in range(n - 1)]
@@ -567,18 +559,18 @@ def suite_reverser_laws(seed: int = 0, max_size: int = 12, draws: int = 20) -> d
     return summary
 
 
-def run_selftest(max_n: int = 6, seed: int = 0, pool: Sequence | None = None) -> dict:
-    """Run every invariant suite plus the classification sweeps; the result
-    has total_failures == 0 exactly when everything holds."""
-    pool = DEFAULT_POOL if pool is None else tuple(as_scalar(v) for v in pool)
+def run_selftest(max_n: int = 6, seed: int = 0) -> dict:
+    """Run every invariant suite plus the classification sweeps over
+    DEFAULT_POOL; the result has total_failures == 0 exactly when everything
+    holds."""
     suites = [
         suite_scalar_laws(seed),
         suite_matrix_laws(seed + 1),
         suite_partition_laws(seed + 2),
-        suite_canonical_laws(seed + 3, pool=pool),
+        suite_canonical_laws(seed + 3),
         suite_reverser_laws(seed + 4),
-        classification_sweep(SpecGenerator(max_n, pool)),
-        semisimple_cross_check(SpecGenerator(max_n, pool, max_block_size=1)),
+        classification_sweep(SpecGenerator(max_n, DEFAULT_POOL)),
+        semisimple_cross_check(SpecGenerator(max_n, DEFAULT_POOL, max_block_size=1)),
         cross_path_check(max_n),
     ]
     budget = max(1, max_n // 2)
@@ -589,7 +581,7 @@ def run_selftest(max_n: int = 6, seed: int = 0, pool: Sequence | None = None) ->
     return {
         "max_n": max_n,
         "seed": seed,
-        "pool": [str(v) for v in pool],
+        "pool": [str(v) for v in DEFAULT_POOL],
         "suites": suites,
         "total_failures": total,
     }

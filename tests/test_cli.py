@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from strongrev.cli import main
+from strongrev.cli import MAX_DIMENSION, main
 from strongrev.canonical import JordanSpec, jordan_matrix
 from strongrev.matrices import ExactMatrix
 from strongrev.scalars import GaussianRational
@@ -262,6 +262,38 @@ class TestMalformedMatrix:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert "invalid matrix" in captured.err
+
+
+class TestDimensionLimit:
+    """Inputs that would need a dense matrix over MAX_DIMENSION are refused
+    before one is built; classify builds none and is not limited."""
+
+    def assert_refused(self, argv, capsys):
+        assert main(argv + ["--format", "json"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert f"exceeds the limit {MAX_DIMENSION}" in captured.err
+
+    @pytest.mark.parametrize("command", ["witness", "weyr"])
+    @pytest.mark.parametrize("size", [MAX_DIMENSION + 1, 6000])
+    def test_spec_refused(self, tmp_path, capsys, command, size):
+        path = spec_file(tmp_path, [("1", size)])
+        self.assert_refused([command, "--input", path], capsys)
+
+    @pytest.mark.parametrize("rows, cols", [(MAX_DIMENSION + 1,) * 2, (1, 6000)])
+    def test_matrix_refused_before_entries_are_read(self, tmp_path, capsys, rows, cols):
+        # a numeric entry would be "invalid matrix" if it were parsed
+        big = write_json(tmp_path / "big.json", {"rows": rows, "cols": cols, "entries": [[1]]})
+        good = matrix_file(tmp_path, ExactMatrix.identity(1), "good.json")
+        for a, g in ((big, good), (good, big)):
+            self.assert_refused(["verify", "--matrix-a", a, "--matrix-g", g], capsys)
+
+    def test_classify_takes_any_size(self, tmp_path, capsys):
+        path = spec_file(tmp_path, [("1", 6000)])
+        assert main(["classify", "--input", path, "--format", "json"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["n"] == 6000 and out["strongly_reversible"]
 
 
 class TestExitCodes:

@@ -456,3 +456,19 @@ class TestHomogeneousUnipotentDetLaw:
                 assert (g * g).is_identity()
                 assert g * a * g == a.inverse()
                 assert g.det() == MINUS_ONE
+
+    def test_pair_scalings(self):
+        from strongrev.matrices import check_witness
+        from strongrev.verify import iter_involutive_reversers
+
+        spec = spec_of((1, 2), (1, 2), (2, 1), (HALF, 1))
+        report = classify(spec)
+        assert report.reversible and not report.strongly_reversible
+        assert len(report.pairing.singletons) == 2 and len(report.pairing.pairs) == 1
+        a = jordan_matrix(spec)
+        reversers = list(iter_involutive_reversers(spec, report.pairing))
+        assert len(reversers) == 16 and len(set(reversers)) == 16
+        for g in reversers:
+            vr = check_witness(a, g)
+            assert vr.reverses and vr.involution
+            assert vr.determinant == MINUS_ONE
