@@ -17,7 +17,7 @@ from typing import Iterable
 
 from .matrices import ExactMatrix, PermutationMap, direct_sum, inflate, offsets
 from .partitions import Partition
-from .scalars import GaussianRational, ONE, ZERO, as_int, as_scalar, parse
+from .scalars import GaussianRational, ZERO, as_int, as_scalar, parse
 
 __all__ = [
     "JordanSpec",
@@ -101,13 +101,14 @@ class JordanSpec:
 
 def jordan_block(eigenvalue, size: int) -> ExactMatrix:
     """J(lam, m): lam on the diagonal, 1 on the superdiagonal."""
-    lam = as_scalar(eigenvalue)
-    grid = [[ZERO] * size for _ in range(size)]
+    a, b, d = as_scalar(eigenvalue).triple
+    re = [[0] * size for _ in range(size)]
+    im = [[0] * size for _ in range(size)]
     for i in range(size):
-        grid[i][i] = lam
+        re[i][i], im[i][i] = a, b
         if i + 1 < size:
-            grid[i][i + 1] = ONE
-    return ExactMatrix(grid)
+            re[i][i + 1] = d
+    return ExactMatrix.from_numerators(re, im, d)
 
 
 def jordan_matrix(spec: JordanSpec) -> ExactMatrix:

@@ -28,6 +28,10 @@ __all__ = ["main", "entrypoint"]
 # have more rows or columns than this, before building it; classify builds none.
 MAX_DIMENSION = 512
 
+# selftest refuses (exit 3) a larger --max-n: its exhaustive sweep grows
+# quickly with n, and --max-n 9 already takes seconds.
+MAX_SELFTEST_N = 10
+
 
 class CliInputError(Exception):
     """Unreadable or invalid input file."""
@@ -151,6 +155,8 @@ def cmd_weyr(args) -> tuple[dict, int]:
 def cmd_selftest(args) -> tuple[dict, int]:
     if args.max_n < 1:
         raise CliInputError(f"--max-n must be at least 1, got {args.max_n}")
+    if args.max_n > MAX_SELFTEST_N:
+        raise CliInputError(f"--max-n must be at most {MAX_SELFTEST_N}, got {args.max_n}")
     summary = verify.run_selftest(max_n=args.max_n, seed=args.seed)
     return summary, 0 if summary["total_failures"] == 0 else 1
 
@@ -194,7 +200,11 @@ def classify_text(p: dict) -> str:
     ]
     for sign, parts in (("+1", plus), ("-1", minus)):
         if parts:
-            lines += [f"Young diagram of the {sign} structure:", Partition(parts).young_diagram()]
+            lines.append(f"Young diagram of the {sign} structure:")
+            if max(parts) > MAX_DIMENSION:
+                lines.append(f"omitted (largest part {max(parts)} exceeds {MAX_DIMENSION})")
+            else:
+                lines.append(Partition(parts).young_diagram())
     return "\n".join(lines)
 
 

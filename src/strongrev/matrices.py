@@ -9,9 +9,19 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
-from .scalars import GaussianRational, ONE, ZERO, as_int, as_scalar, parse
+from .scalars import (
+    GaussianRational,
+    ONE,
+    ZERO,
+    as_int,
+    as_scalar,
+    format_triple,
+    from_triple,
+    parse,
+)
 
 __all__ = [
     "ExactMatrix",
@@ -44,72 +54,139 @@ def format_grid(text: Sequence[Sequence[str]]) -> str:
     )
 
 
-def _eliminate(m: list[list[GaussianRational]], n: int) -> int:
-    """Bring the leading n x n block of the rows ``m`` to upper triangular
-    form in place.  Row operations act on whole rows, so columns past n (an
-    augmented block) are carried along.
+def _normalized(re: list[list[int]], im: list[list[int]], d: int):
+    """(re, im, d) with the gcd of d and every numerator divided out."""
+    if d == 1:
+        return re, im, d
+    g = d
+    for row in itertools.chain(re, im):
+        g = gcd(g, *row)
+        if g == 1:
+            return re, im, d
+    return [[x // g for x in row] for row in re], [[x // g for x in row] for row in im], d // g
+
+
+def _clear(re: list[list[int]], im: list[list[int]], den: list[int], r: int, c: int) -> None:
+    """Subtract from row r the multiple of row c that makes its column-c
+    entry zero.
+
+    Row k holds the values (re[k] + im[k]*i)/den[k], normalized like a
+    matrix.  With X, Y the numerator rows of r and c, p = Y[c] and x = X[c],
+    the new row r is (p*X - x*Y)/(den[r]*p), that is
+    (|p|^2 X - x conj(p) Y)/(den[r] |p|^2); the scale of row c cancels.  For
+    a real p, |p| and x*sign(p) stand in for |p|^2 and x conj(p).  Both rows
+    are zero before column s = min(r, c), so only the columns from there on
+    are touched.
+    """
+    s = min(r, c)
+    xr, yr, xi, yi = re[r][s:], re[c][s:], im[r][s:], im[c][s:]
+    pa, pb, xa, xb = yr[c - s], yi[c - s], xr[c - s], xi[c - s]
+    if pb:
+        n2, qa, qb = pa * pa + pb * pb, xa * pa + xb * pb, xb * pa - xa * pb
+    elif pa > 0:
+        n2, qa, qb = pa, xa, xb
+    else:
+        n2, qa, qb = -pa, -xa, -xb
+    if qb:
+        nr = [n2 * u - qa * v + qb * w for u, v, w in zip(xr, yr, yi)]
+        ni = [n2 * t - qa * w - qb * v for t, v, w in zip(xi, yr, yi)]
+    else:
+        nr = [n2 * u - qa * v for u, v in zip(xr, yr)]
+        ni = [n2 * t - qa * w for t, w in zip(xi, yi)] if any(xi) or any(yi) else xi
+    e = den[r] * n2
+    if e != 1:
+        g = gcd(e, *nr, *ni)
+        if g > 1:
+            nr = [u // g for u in nr]
+            ni = [t // g for t in ni]
+            e //= g
+    den[r] = e
+    re[r][s:] = nr
+    im[r][s:] = ni
+
+
+def _eliminate(re: list[list[int]], im: list[list[int]], den: list[int], n: int) -> int:
+    """Bring the leading n x n block of the rows (re + im*i)/den to upper
+    triangular form in place, by :func:`_clear`.  Row operations act on
+    whole rows, so columns past n (an augmented block) are carried along.
 
     Each pivot is the first nonzero entry at or below the diagonal
-    (exactness makes pivot magnitude irrelevant); it is inverted once, and
-    only if a row below it needs clearing.  Returns the sign of the row
+    (exactness makes pivot magnitude irrelevant), and only rows with a
+    nonzero in the pivot column are updated.  Returns the sign of the row
     permutation, or 0 if a column has no pivot (the block is singular).
     """
     sign = 1
     for col in range(n):
         for r in range(col, n):
-            if m[r][col]:
+            if re[r][col] or im[r][col]:
                 break
         else:
             return 0
         if r != col:
-            m[col], m[r] = m[r], m[col]
+            re[col], re[r] = re[r], re[col]
+            im[col], im[r] = im[r], im[col]
+            den[col], den[r] = den[r], den[col]
             sign = -sign
-        prow = m[col]
-        pivot_inv = None
-        for row in m[col + 1 : n]:
-            if not row[col]:
-                continue
-            if pivot_inv is None:
-                pivot_inv = prow[col].inverse()
-                tail = prow[col:]
-            ratio = row[col] * pivot_inv
-            row[col:] = [a - ratio * b if b else a for a, b in zip(row[col:], tail)]
+        for r in range(col + 1, n):
+            if re[r][col] or im[r][col]:
+                _clear(re, im, den, r, col)
     return sign
 
 
 @dataclass(frozen=True, slots=True)
 class ExactMatrix:
-    """Immutable rows x cols matrix with GaussianRational entries.
+    """Immutable rows x cols matrix over the Gaussian rationals.
 
-    Rows are held privately as lists, which CPython frees at once instead of
-    keeping dead row tuples on its free lists; ``entries`` and ``row()``
-    hand out tuples, so nothing reached through them can change a matrix.
+    Entry (i, j) is (_re[i][j] + _im[i][j]*i)/_d: two lists of Python-int
+    rows and one positive denominator, normalized so that the gcd of _d and
+    every numerator is 1.  Equal matrices therefore have equal fields, and
+    the generated ``==`` is exact equality.  Arithmetic works on the ints;
+    ``m[i, j]``, ``row()`` and ``entries`` hand out GaussianRational values
+    in tuples, so nothing reached through them can change a matrix.
     """
 
     rows: int
     cols: int
-    _rows: list[list[GaussianRational]]
+    _re: list[list[int]]
+    _im: list[list[int]]
+    _d: int
 
     def __init__(self, entries: Iterable[Iterable]):
         data = [
-            [v if type(v) is GaussianRational else as_scalar(v) for v in row]
+            [(v if type(v) is GaussianRational else as_scalar(v)).triple for v in row]
             for row in entries
         ]
-        if not data or not data[0]:
-            raise ValueError("matrix must have at least one row and column")
-        width = len(data[0])
-        if any(len(row) != width for row in data):
+        if data and data[0] and any(len(row) != len(data[0]) for row in data):
             raise ValueError("ragged rows")
-        object.__setattr__(self, "rows", len(data))
-        object.__setattr__(self, "cols", width)
-        object.__setattr__(self, "_rows", data)
+        # Over the least common denominator of normalized entries the
+        # triple is already normalized.
+        d = lcm(*(e for row in data for _, _, e in row))
+        _fill(
+            self,
+            [[a * (d // e) for a, _, e in row] for row in data],
+            [[b * (d // e) for _, b, e in row] for row in data],
+            d,
+        )
+
+    @classmethod
+    def from_numerators(
+        cls, re: list[list[int]], im: list[list[int]], d: int
+    ) -> "ExactMatrix":
+        """The matrix (re + im*i)/d, normalized, for equally long nonempty
+        rows of ints and an int d > 0.  The row lists are taken over, not
+        copied."""
+        m = object.__new__(cls)
+        _fill(m, *_normalized(re, im, d))
+        return m
 
     def __hash__(self) -> int:
         return hash((self.rows, self.cols, self.entries))
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
-        return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
+        return cls.from_numerators(
+            [[int(i == j) for j in range(n)] for i in range(n)], [[0] * n for _ in range(n)], 1
+        )
 
     @classmethod
     def diagonal(cls, values: Sequence) -> "ExactMatrix":
@@ -123,27 +200,33 @@ class ExactMatrix:
     ) -> "ExactMatrix":
         """n x n matrix that is zero except for each (row0, col0, block)
         placement, which puts the block's top-left entry at (row0, col0)."""
-        grid = [[ZERO] * n for _ in range(n)]
+        placements = list(placements)
+        d = lcm(*(block._d for _, _, block in placements))
+        re = [[0] * n for _ in range(n)]
+        im = [[0] * n for _ in range(n)]
         for row0, col0, block in placements:
             if not (0 <= row0 <= n - block.rows and 0 <= col0 <= n - block.cols):
                 raise ValueError(
                     f"{block.rows}x{block.cols} block at ({row0}, {col0}) "
                     f"does not fit in {n}x{n}"
                 )
-            for i, brow in enumerate(block._rows):
-                grid[row0 + i][col0 : col0 + block.cols] = brow
-        return cls(grid)
+            f = d // block._d
+            cols = slice(col0, col0 + block.cols)
+            for i, (br, bi) in enumerate(zip(block._re, block._im), row0):
+                re[i][cols] = br if f == 1 else [x * f for x in br]
+                im[i][cols] = bi if f == 1 else [x * f for x in bi]
+        return cls.from_numerators(re, im, d)
 
     def __getitem__(self, key) -> GaussianRational:
         i, j = key
-        return self._rows[i][j]
+        return from_triple(self._re[i][j], self._im[i][j], self._d)
 
     def row(self, i: int) -> tuple[GaussianRational, ...]:
-        return tuple(self._rows[i])
+        return tuple(map(from_triple, self._re[i], self._im[i], itertools.repeat(self._d)))
 
     @property
     def entries(self) -> tuple[tuple[GaussianRational, ...], ...]:
-        return tuple(map(tuple, self._rows))
+        return tuple(map(self.row, range(self.rows)))
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -152,11 +235,15 @@ class ExactMatrix:
         """First (row, col) where the two matrices differ, 0-based; None if equal."""
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
-        for i in range(self.rows):
-            if self._rows[i] != other._rows[i]:
-                for j in range(self.cols):
-                    if self._rows[i][j] != other._rows[i][j]:
-                        return (i, j)
+        # Entries are compared cross-multiplied by the other denominator.
+        s, t = (1, 1) if self._d == other._d else (other._d, self._d)
+        rows = zip(self._re, self._im, other._re, other._im)
+        for i, (ar, ai, br, bi) in enumerate(rows):
+            if s == t and ar == br and ai == bi:
+                continue
+            for j in range(self.cols):
+                if ar[j] * s != br[j] * t or ai[j] * s != bi[j] * t:
+                    return (i, j)
         return None
 
     def __add__(self, other):
@@ -164,11 +251,12 @@ class ExactMatrix:
             return NotImplemented
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch in addition")
-        return ExactMatrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self._rows, other._rows)
-            ]
+        g = gcd(self._d, other._d)
+        s, t = other._d // g, self._d // g
+        return ExactMatrix.from_numerators(
+            [[x * s + y * t for x, y in zip(a, b)] for a, b in zip(self._re, other._re)],
+            [[x * s + y * t for x, y in zip(a, b)] for a, b in zip(self._im, other._im)],
+            self._d * s,
         )
 
     def __sub__(self, other):
@@ -177,11 +265,15 @@ class ExactMatrix:
         return self + (-other)
 
     def __neg__(self):
-        return ExactMatrix([[-v for v in row] for row in self._rows])
+        return self.scale(-1)
 
     def scale(self, c) -> "ExactMatrix":
-        c = as_scalar(c)
-        return ExactMatrix([[c * v for v in row] for row in self._rows])
+        a, b, e = as_scalar(c).triple
+        return ExactMatrix.from_numerators(
+            [[a * x - b * y for x, y in zip(r, i)] for r, i in zip(self._re, self._im)],
+            [[a * y + b * x for x, y in zip(r, i)] for r, i in zip(self._re, self._im)],
+            self._d * e,
+        )
 
     def __rmul__(self, other):
         try:
@@ -197,52 +289,81 @@ class ExactMatrix:
             raise ValueError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        # The nonzero entries of each row of other, found once.
-        nonzero = [[(j, v) for j, v in enumerate(row) if v] for row in other._rows]
-        out = []
-        for arow in self._rows:
-            acc = [ZERO] * other.cols
-            for aik, bnz in zip(arow, nonzero):
-                if aik:
-                    for j, bkj in bnz:
-                        acc[j] = acc[j] + aik * bkj
-            out.append(acc)
-        return ExactMatrix(out)
+        # The nonzero real and imaginary numerators of each row of other,
+        # found once; an entry with a zero imaginary part skips half the work.
+        b_re = [[(j, v) for j, v in enumerate(row) if v] for row in other._re]
+        b_im = [[(j, v) for j, v in enumerate(row) if v] for row in other._im]
+        width = other.cols
+        out_re, out_im = [], []
+        for arow, irow in zip(self._re, self._im):
+            cr = [0] * width
+            ci = [0] * width
+            for x, y, bre, bim in zip(arow, irow, b_re, b_im):
+                if x:
+                    for j, v in bre:
+                        cr[j] += x * v
+                    for j, v in bim:
+                        ci[j] += x * v
+                if y:
+                    for j, v in bre:
+                        ci[j] += y * v
+                    for j, v in bim:
+                        cr[j] -= y * v
+            out_re.append(cr)
+            out_im.append(ci)
+        return ExactMatrix.from_numerators(out_re, out_im, self._d * other._d)
+
+    def _numerator_rows(self, extra: int = 0) -> tuple[list[list[int]], list[list[int]]]:
+        """Fresh copies of the numerator rows, each followed by ``extra``
+        columns of the identity."""
+        re = [row + [int(i == j) for j in range(extra)] for i, row in enumerate(self._re)]
+        return re, [row + [0] * extra for row in self._im]
 
     def det(self) -> GaussianRational:
         """Exact determinant: the signed product of the diagonal left by
-        :func:`_eliminate`."""
+        :func:`_eliminate` on the numerators M, and det(M/d) = det(M)/d^n."""
         if not self.is_square():
             raise ValueError("determinant of a non-square matrix")
-        m = [list(row) for row in self._rows]
-        sign = _eliminate(m, self.rows)
-        if not sign:
+        n = self.rows
+        re, im = self._numerator_rows()
+        den = [1] * n
+        a, b = _eliminate(re, im, den, n), 0
+        if not a:
             return ZERO
-        result = ONE if sign == 1 else -ONE
-        for i, row in enumerate(m):
-            result = result * row[i]
-        return result
+        for i in range(n):
+            x, y = re[i][i], im[i][i]
+            a, b = a * x - b * y, a * y + b * x
+        return from_triple(a, b, prod(den) * self._d**n)
 
     def inverse(self) -> "ExactMatrix":
-        """Exact inverse: :func:`_eliminate` on ``[A | I]``, then back
-        substitution through the triangular ``A`` part."""
+        """Exact inverse: :func:`_eliminate` on ``[M | I]`` for the numerators
+        M = d*A, then :func:`_clear` above each pivot from the last column
+        back.  That leaves in row i only the pivot p_i on the left and V_i
+        on the right, over one row denominator, so row i of A^{-1} is
+        d V_i / p_i."""
         if not self.is_square():
             raise ValueError("inverse of a non-square matrix")
         n = self.rows
-        m = [row + [ONE if i == j else ZERO for j in range(n)] for i, row in enumerate(self._rows)]
-        if not _eliminate(m, n):
+        re, im = self._numerator_rows(n)
+        den = [1] * n
+        if not _eliminate(re, im, den, n):
             raise SingularMatrixError("matrix is singular")
-        inv: list[list[GaussianRational]] = [[]] * n
-        for i in range(n - 1, -1, -1):
-            row = m[i]
-            acc = row[n:]
-            for k in range(i + 1, n):
-                u = row[k]
-                if u:
-                    acc = [a - u * b if b else a for a, b in zip(acc, inv[k])]
-            pivot_inv = row[i].inverse()
-            inv[i] = [pivot_inv * a for a in acc]
-        return ExactMatrix(inv)
+        for col in range(n - 1, 0, -1):
+            for r in range(col):
+                if re[r][col] or im[r][col]:
+                    _clear(re, im, den, r, col)
+        # d V_i / p_i = d V_i conj(p_i) / |p_i|^2, over the least common
+        # multiple of the |p_i|^2.
+        norms = [re[i][i] ** 2 + im[i][i] ** 2 for i in range(n)]
+        common = lcm(*norms)
+        out_re, out_im = [], []
+        for i, norm in enumerate(norms):
+            f = common // norm * self._d
+            pa, pb = re[i][i] * f, -im[i][i] * f
+            vr, vi = re[i][n:], im[i][n:]
+            out_re.append([pa * x - pb * y for x, y in zip(vr, vi)])
+            out_im.append([pa * y + pb * x for x, y in zip(vr, vi)])
+        return ExactMatrix.from_numerators(out_re, out_im, common)
 
     def is_identity(self) -> bool:
         if not self.is_square():
@@ -253,7 +374,10 @@ class ExactMatrix:
         return {
             "rows": self.rows,
             "cols": self.cols,
-            "entries": [[str(v) for v in row] for row in self._rows],
+            "entries": [
+                [format_triple(a, b, self._d) if a or b else "0" for a, b in zip(r, i)]
+                for r, i in zip(self._re, self._im)
+            ],
         }
 
     @classmethod
@@ -270,10 +394,22 @@ class ExactMatrix:
         return cls([[parse(v) for v in row] for row in entries])
 
     def __str__(self) -> str:
-        return format_grid([[str(v) for v in row] for row in self._rows])
+        return format_grid(self.to_json_dict()["entries"])
 
     def __repr__(self) -> str:
         return f"<ExactMatrix {self.rows}x{self.cols}>"
+
+
+def _fill(m: ExactMatrix, re: list[list[int]], im: list[list[int]], d: int) -> None:
+    """Set the fields of a new matrix from a normalized triple."""
+    if not re or not re[0]:
+        raise ValueError("matrix must have at least one row and column")
+    set_field = object.__setattr__
+    set_field(m, "rows", len(re))
+    set_field(m, "cols", len(re[0]))
+    set_field(m, "_re", re)
+    set_field(m, "_im", im)
+    set_field(m, "_d", d)
 
 
 def direct_sum(blocks: Sequence[ExactMatrix]) -> ExactMatrix:
@@ -298,13 +434,15 @@ def inflate(coeffs: ExactMatrix, sizes: Sequence[int]) -> ExactMatrix:
         raise ValueError("coefficient matrix size does not match the block sizes")
     starts = offsets(sizes)
     n = sum(sizes)
-    grid = [[ZERO] * n for _ in range(n)]
-    for i, row in enumerate(coeffs._rows):
-        for j, c in enumerate(row):
-            if c:
+    re = [[0] * n for _ in range(n)]
+    im = [[0] * n for _ in range(n)]
+    for i, (crow, irow) in enumerate(zip(coeffs._re, coeffs._im)):
+        for j, (a, b) in enumerate(zip(crow, irow)):
+            if a or b:
                 for t in range(min(sizes[i], sizes[j])):
-                    grid[starts[i] + t][starts[j] + t] = c
-    return ExactMatrix(grid)
+                    re[starts[i] + t][starts[j] + t] = a
+                    im[starts[i] + t][starts[j] + t] = b
+    return ExactMatrix.from_numerators(re, im, coeffs._d)
 
 
 @dataclass(frozen=True, slots=True)
@@ -342,10 +480,10 @@ class PermutationMap:
 
     def matrix(self) -> ExactMatrix:
         n = len(self.images)
-        grid = [[ZERO] * n for _ in range(n)]
+        re = [[0] * n for _ in range(n)]
         for k, img in enumerate(self.images):
-            grid[img - 1][k] = ONE
-        return ExactMatrix(grid)
+            re[img - 1][k] = 1
+        return ExactMatrix.from_numerators(re, [[0] * n for _ in range(n)], 1)
 
     def sign(self) -> int:
         """Parity of the permutation via cycle decomposition."""
@@ -370,13 +508,16 @@ class PermutationMap:
         if a.rows != n or a.cols != n:
             raise ValueError("matrix size does not match the permutation")
         img0 = [v - 1 for v in self.images]
-        grid = [[ZERO] * n for _ in range(n)]
-        for i in range(n):
-            target = grid[img0[i]]
-            arow = a._rows[i]
-            for j in range(n):
-                target[img0[j]] = arow[j]
-        return ExactMatrix(grid)
+
+        def moved(rows: list[list[int]]) -> list[list[int]]:
+            out = [[0] * n for _ in range(n)]
+            for i, row in zip(img0, rows):
+                target = out[i]
+                for j, v in zip(img0, row):
+                    target[j] = v
+            return out
+
+        return ExactMatrix.from_numerators(moved(a._re), moved(a._im), a._d)
 
 
 @dataclass(frozen=True)

@@ -85,21 +85,40 @@ def jordan_reverser(eigenvalue, n: int) -> ExactMatrix:
 
     Row i (1-based) has diagonal (-1)^(n-i) lam^(-2(n-i)), interior entries
     (-1)^(n-i) C(n-i-1, j-i) lam^(-2n+i+j), and the last column is zero
-    except for the final 1.
+    except for the final 1.  Every entry is a binomial times a power of
+    1/lam = (a + b*i)/e of exponent at most 2n - 2, so the matrix is built
+    over the denominator e^(2n-2) from one table of powers of a + b*i.
     """
     lam = as_scalar(eigenvalue)
     if not lam:
         raise ValueError("eigenvalue must be nonzero")
-    grid = [[ZERO] * n for _ in range(n)]
-    grid[n - 1][n - 1] = ONE
+    a, b, e = lam.inverse().triple
+    top = 2 * n - 2
+    # pow_re[k] + pow_im[k]*i = (a + b*i)^k e^(top-k), the numerator of
+    # lam^(-k) over e^top.
+    pow_re, pow_im = [0] * (top + 1), [0] * (top + 1)
+    x, y = 1, 0
+    for k in range(top + 1):
+        pow_re[k], pow_im[k] = x, y
+        x, y = x * a - y * b, x * b + y * a
+    if e != 1:
+        f = 1
+        for k in range(top, -1, -1):
+            pow_re[k] *= f
+            pow_im[k] *= f
+            f *= e
+    den = pow_re[0]  # e^top, also the numerator of the final 1
+    re = [[0] * n for _ in range(n)]
+    im = [[0] * n for _ in range(n)]
+    re[n - 1][n - 1] = den
     for i in range(n - 1):
-        sign = _sign_value(n - 1 - i)
-        grid[i][i] = sign * lam ** (-2 * (n - 1 - i))
-        for j in range(i + 1, n - 1):
-            coeff = binomial(n - i - 2, j - i)
-            if coeff:
-                grid[i][j] = sign * coeff * lam ** (-2 * n + i + j + 2)
-    return ExactMatrix(grid)
+        sign = -1 if (n - 1 - i) % 2 else 1
+        row_re, row_im = re[i], im[i]
+        for j in range(i, n - 1):
+            coeff = sign * binomial(n - i - 2, j - i)
+            row_re[j] = coeff * pow_re[top - i - j]
+            row_im[j] = coeff * pow_im[top - i - j]
+    return ExactMatrix.from_numerators(re, im, den)
 
 
 def jordan_reverser_recurrence(eigenvalue, n: int) -> ExactMatrix:

@@ -17,6 +17,8 @@ __all__ = [
     "ScalarParseError",
     "as_int",
     "as_scalar",
+    "format_triple",
+    "from_triple",
     "parse",
     "ZERO",
     "ONE",
@@ -39,9 +41,8 @@ class GaussianRational:
 
     The triple is normalized (d > 0 and gcd(a, b, d) == 1), so equal values
     have equal triples.  Values are immutable; every operation returns a
-    fresh, normalized value.  Gaussian integers (d == 1) take a fast path
-    in ``+``, ``-`` and ``*``: Jordan matrices, +-1/+-i scalings and the
-    binomial reverser entries are all Gaussian integers.
+    fresh, normalized value.  Matrix arithmetic does not go through this
+    class: :class:`~strongrev.matrices.ExactMatrix` works on the ints.
     """
 
     __slots__ = ("_a", "_b", "_d")
@@ -77,14 +78,17 @@ class GaussianRational:
     def im(self) -> Fraction:
         return Fraction(self._b, self._d)
 
+    @property
+    def triple(self) -> tuple[int, int, int]:
+        """The normalized ints (a, b, d) of the value (a + b*i)/d."""
+        return (self._a, self._b, self._d)
+
     def __add__(self, other):
         if type(other) is not GaussianRational:
             try:
                 other = as_scalar(other)
             except TypeError:
                 return NotImplemented
-        if self._d == 1 == other._d:
-            return _triple(self._a + other._a, self._b + other._b, 1)
         return _sum(self._a, self._b, self._d, other._a, other._b, other._d)
 
     __radd__ = __add__
@@ -95,8 +99,6 @@ class GaussianRational:
                 other = as_scalar(other)
             except TypeError:
                 return NotImplemented
-        if self._d == 1 == other._d:
-            return _triple(self._a - other._a, self._b - other._b, 1)
         return _sum(self._a, self._b, self._d, -other._a, -other._b, other._d)
 
     def __rsub__(self, other):
@@ -118,10 +120,7 @@ class GaussianRational:
         a1, b1, a2, b2 = self._a, self._b, other._a, other._b
         a = a1 * a2 - b1 * b2
         b = a1 * b2 + b1 * a2
-        d = self._d * other._d
-        if d == 1:
-            return _triple(a, b, 1)
-        return _reduced(a, b, d)
+        return from_triple(a, b, self._d * other._d)
 
     __rmul__ = __mul__
 
@@ -185,7 +184,7 @@ class GaussianRational:
         n = a * a + b * b
         if not n:
             raise ZeroDivisionError("division by zero in Q(i)")
-        return _reduced(d * a, -d * b, n)
+        return from_triple(d * a, -d * b, n)
 
     @property
     def sort_key(self) -> tuple[Fraction, Fraction]:
@@ -197,14 +196,19 @@ class GaussianRational:
 
     def __str__(self) -> str:
         """Render in the scalar grammar; parse(str(z)) == z."""
-        a, b, d = self._a, self._b, self._d
-        if not b:
-            return _ratio(a, d)
-        mag = _ratio(abs(b), d)
-        imag = "i" if mag == "1" else mag + "i"
-        if not a:
-            return imag if b > 0 else "-" + imag
-        return f"{_ratio(a, d)}{'+' if b > 0 else '-'}{imag}"
+        return format_triple(self._a, self._b, self._d)
+
+
+def format_triple(a: int, b: int, d: int) -> str:
+    """(a + b*i)/d in the scalar grammar for any d > 0; each part is reduced
+    on its own, so the triple need not be normalized."""
+    if not b:
+        return _ratio(a, d)
+    mag = _ratio(abs(b), d)
+    imag = "i" if mag == "1" else mag + "i"
+    if not a:
+        return imag if b > 0 else "-" + imag
+    return f"{_ratio(a, d)}{'+' if b > 0 else '-'}{imag}"
 
 
 _new = object.__new__
@@ -222,8 +226,8 @@ def _triple(a: int, b: int, d: int) -> GaussianRational:
     return z
 
 
-def _reduced(a: int, b: int, d: int) -> GaussianRational:
-    """The scalar (a + b*i)/d for any d > 0."""
+def from_triple(a: int, b: int, d: int) -> GaussianRational:
+    """The scalar (a + b*i)/d for any ints with d > 0."""
     g = gcd(a, b, d)
     if g == 1:
         return _triple(a, b, d)

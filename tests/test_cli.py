@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from strongrev.cli import MAX_DIMENSION, main
+from strongrev.cli import MAX_DIMENSION, MAX_SELFTEST_N, main
 from strongrev.canonical import JordanSpec, jordan_matrix
 from strongrev.matrices import ExactMatrix
 from strongrev.scalars import GaussianRational
@@ -296,6 +296,21 @@ class TestDimensionLimit:
         assert out["n"] == 6000 and out["strongly_reversible"]
 
 
+    def test_classify_text_omits_an_oversized_young_diagram(self, tmp_path, capsys):
+        path = spec_file(tmp_path, [("1", 10_000_000)])
+        assert main(["classify", "--input", path, "--format", "text"]) == 0
+        out = capsys.readouterr().out
+        assert len(out.encode()) < 2048
+        assert f"omitted (largest part 10000000 exceeds {MAX_DIMENSION})" in out
+        assert "[][]" not in out
+
+    def test_classify_text_draws_a_diagram_at_the_limit(self, tmp_path, capsys):
+        path = spec_file(tmp_path, [("-1", MAX_DIMENSION), ("-1", 1)])
+        assert main(["classify", "--input", path, "--format", "text"]) == 0
+        out = capsys.readouterr().out
+        assert "[]" * MAX_DIMENSION + "\n[]\n" in out and "omitted" not in out
+
+
 class TestExitCodes:
     def test_usage_error_is_not_a_verdict(self, capsys):
         assert main(["classify"]) == 3
@@ -337,6 +352,14 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: --max-n must be at least 1, got {max_n}\n"
+
+    @pytest.mark.parametrize("max_n", [MAX_SELFTEST_N + 1, 40])
+    def test_selftest_max_n_above_limit_exits_3(self, capsys, max_n):
+        assert MAX_SELFTEST_N == 10
+        assert main(["selftest", "--max-n", str(max_n)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --max-n must be at most 10, got {max_n}\n"
 
     def test_failing_text_renderer_leaves_stdout_empty(self, tmp_path, capsys, monkeypatch):
         import strongrev.cli as cli_module

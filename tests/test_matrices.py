@@ -1,7 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, strategies as st
 
 from oracles import laplace_det
 from strongrev.canonical import jordan_block
@@ -9,6 +12,7 @@ from strongrev.matrices import (
     ExactMatrix,
     PermutationMap,
     SingularMatrixError,
+    _eliminate,
     direct_sum,
 )
 from strongrev.reversal import jordan_reverser
@@ -241,3 +245,194 @@ class TestRowViews:
         rows[1][1] = G(9)
         assert m == before and hash(m) == hash(before)
         assert m.entries == ((G(1), G(2)), (G(3), G(4)))
+
+
+# Differential tests of the integer layer: every operation is compared with a
+# reference that works entry by entry on GaussianRational grids, written here
+# without the matrix code, and every result is checked to be normalized.
+def ref_mul(x, y):
+    return [
+        [sum((x[i][k] * y[k][j] for k in range(len(y))), ZERO) for j in range(len(y[0]))]
+        for i in range(len(x))
+    ]
+
+
+def ref_eliminate(grid):
+    """Rational Gaussian elimination with the library's pivot rule (first
+    nonzero entry at or below the diagonal, rows with a zero skipped)."""
+    rows = [list(row) for row in grid]
+    n = len(rows)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if rows[r][col]), None)
+        if pivot is None:
+            return None
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for r in range(col + 1, n):
+            if rows[r][col]:
+                ratio = rows[r][col] / rows[col][col]
+                rows[r] = [a - ratio * b for a, b in zip(rows[r], rows[col])]
+    return rows
+
+
+def ref_inverse(grid):
+    n = len(grid)
+    rows = [list(row) + [ONE if i == j else ZERO for j in range(n)] for i, row in enumerate(grid)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if rows[r][col]), None)
+        if pivot is None:
+            return None
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        scale = rows[col][col].inverse()
+        rows[col] = [scale * v for v in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col]:
+                ratio = rows[r][col]
+                rows[r] = [a - ratio * b for a, b in zip(rows[r], rows[col])]
+    return [row[n:] for row in rows]
+
+
+def assert_normalized(m):
+    assert m._d > 0
+    assert len(m._re) == len(m._im) == m.rows
+    assert all(len(row) == m.cols for row in m._re + m._im)
+    assert gcd(m._d, *itertools.chain(*m._re, *m._im)) == 1
+
+
+def grid_of(m):
+    return [list(row) for row in m.entries]
+
+
+small_fractions = st.fractions(min_value=-12, max_value=12, max_denominator=9)
+ENTRY_KINDS = {
+    "gaussian_integer": st.builds(G, st.integers(-9, 9), st.integers(-9, 9)),
+    "real": st.builds(G, small_fractions),
+    "mixed": st.builds(G, small_fractions, small_fractions),
+}
+
+
+@st.composite
+def grids(draw, rows=None, cols=None):
+    """Grids of one entry kind, with zero entries and whole zero rows."""
+    rows = rows or draw(st.integers(1, 4))
+    cols = cols or draw(st.integers(1, 4))
+    entry = st.one_of(st.just(ZERO), ENTRY_KINDS[draw(st.sampled_from(sorted(ENTRY_KINDS)))])
+    zero_rows = draw(st.sets(st.integers(0, rows - 1), max_size=rows))
+    return [
+        [ZERO] * cols if i in zero_rows else [draw(entry) for _ in range(cols)]
+        for i in range(rows)
+    ]
+
+
+@st.composite
+def same_shape(draw):
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    return draw(grids(rows, cols)), draw(grids(rows, cols))
+
+
+@st.composite
+def chained(draw):
+    rows, inner, cols = (draw(st.integers(1, 4)) for _ in range(3))
+    return draw(grids(rows, inner)), draw(grids(inner, cols))
+
+
+@st.composite
+def square(draw, max_n=4):
+    n = draw(st.integers(1, max_n))
+    return draw(grids(n, n))
+
+
+class TestIntegerLayer:
+    @given(grid=grids())
+    def test_construction_entries_and_json(self, grid):
+        m = ExactMatrix(grid)
+        assert_normalized(m)
+        assert (m.rows, m.cols) == (len(grid), len(grid[0]))
+        assert grid_of(m) == grid
+        assert all(m[i, j] == grid[i][j] for i in range(m.rows) for j in range(m.cols))
+        assert m.row(m.rows - 1) == tuple(grid[-1])
+        assert m.to_json_dict()["entries"] == [[str(v) for v in row] for row in grid]
+        back = ExactMatrix.from_json_dict(m.to_json_dict())
+        assert back == m and hash(back) == hash(m)
+        assert hash(m) == hash((m.rows, m.cols, tuple(map(tuple, grid))))
+
+    @given(pair=chained())
+    def test_product(self, pair):
+        x, y = pair
+        product = ExactMatrix(x) * ExactMatrix(y)
+        assert_normalized(product)
+        assert grid_of(product) == ref_mul(x, y)
+
+    @given(pair=same_shape(), c=st.one_of(*ENTRY_KINDS.values(), st.just(ZERO)))
+    def test_sum_difference_and_scale(self, pair, c):
+        x, y = pair
+        a, b = ExactMatrix(x), ExactMatrix(y)
+        for result, expected in (
+            (a + b, [[u + v for u, v in zip(p, q)] for p, q in zip(x, y)]),
+            (a - b, [[u - v for u, v in zip(p, q)] for p, q in zip(x, y)]),
+            (-a, [[-u for u in p] for p in x]),
+            (a.scale(c), [[c * u for u in p] for p in x]),
+            (c * a, [[c * u for u in p] for p in x]),
+        ):
+            assert_normalized(result)
+            assert grid_of(result) == expected
+
+    @given(pair=same_shape())
+    def test_equality_hash_and_first_difference(self, pair):
+        x, y = pair
+        a, b = ExactMatrix(x), ExactMatrix(y)
+        assert (a == b) == (x == y)
+        differences = [(i, j) for i, row in enumerate(x) for j, v in enumerate(row) if v != y[i][j]]
+        assert a.first_difference(b) == (differences[0] if differences else None)
+        # the same value reached by arithmetic is equal and hashes alike
+        again = (a + b) - b
+        assert again == a and hash(again) == hash(a)
+        assert a.first_difference(again) is None
+
+    @given(grid=square())
+    def test_det_and_inverse(self, grid):
+        m = ExactMatrix(grid)
+        det = m.det()
+        assert det == laplace_det(m)
+        expected = ref_inverse(grid)
+        assert (expected is None) == (not det)
+        if expected is None:
+            with pytest.raises(SingularMatrixError):
+                m.inverse()
+        else:
+            inverse = m.inverse()
+            assert_normalized(inverse)
+            assert grid_of(inverse) == expected
+
+    @given(grid=square(max_n=5))
+    def test_elimination_rows_are_normalized_rational_rows(self, grid):
+        m = ExactMatrix(grid)
+        re, im = m._numerator_rows()
+        den = [1] * m.rows
+        sign = _eliminate(re, im, den, m.rows)
+        expected = ref_eliminate(grid)
+        assert (sign == 0) == (expected is None)
+        if expected is None:
+            return
+        im = im or [[0] * m.cols for _ in range(m.rows)]
+        for r, e in enumerate(den):
+            # each row is held as (re + im*i)/den, normalized, at the scale
+            # of rational elimination (numerators of M = d*A)
+            assert e > 0 and gcd(e, *re[r], *im[r]) == 1
+            assert [G(Fraction(a, e), Fraction(b, e)) for a, b in zip(re[r], im[r])] == [
+                m._d * v for v in expected[r]
+            ]
+
+    def test_first_difference_with_equal_numerators_over_other_denominators(self):
+        half = ExactMatrix([[G(Fraction(1, 2)), ONE]])
+        assert half.first_difference(ExactMatrix([[1, 1]])) == (0, 0)
+        assert ExactMatrix([[1, 1]]).first_difference(half) == (0, 0)
+
+    def test_zero_and_one_by_one(self):
+        zero = ExactMatrix([[0, 0], [0, 0]])
+        assert_normalized(zero)
+        assert zero._d == 1
+        assert zero.det() == ZERO
+        one = ExactMatrix([[G(Fraction(2, 3), Fraction(-1, 6))]])
+        assert one.det() == one[0, 0]
+        assert one.inverse()[0, 0] == one[0, 0].inverse()
+        assert (one * one.inverse()).is_identity()
