@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
 from itertools import groupby
 from operator import itemgetter
 from typing import Iterable
 
 from .matrices import ExactMatrix, PermutationMap, direct_sum, inflate, offsets
 from .partitions import Partition
-from .scalars import GaussianRational, ZERO, as_int, as_scalar, parse
+from .scalars import GaussianRational, ZERO, as_int, as_scalar, from_triple, parse
 
 __all__ = [
     "JordanSpec",
@@ -34,6 +36,13 @@ __all__ = [
 
 CENTRALIZER_COEFF_RANGE = 3
 CENTRALIZER_SAMPLE_ATTEMPTS = 64
+ORDER_KEY_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=ORDER_KEY_CACHE_SIZE)
+def _order_key(triple: tuple[int, int, int]) -> tuple[Fraction, Fraction]:
+    """GaussianRational.sort_key of the value with this normalized triple."""
+    return from_triple(*triple).sort_key
 
 
 @dataclass(frozen=True, slots=True)
@@ -48,7 +57,7 @@ class JordanSpec:
     blocks: tuple[tuple[GaussianRational, int], ...]
 
     def __init__(self, blocks: Iterable[tuple]):
-        normalized = []
+        entries = []
         for eig, size in blocks:
             eig = as_scalar(eig)
             size = as_int(size)
@@ -56,11 +65,15 @@ class JordanSpec:
                 raise ValueError("eigenvalues must be nonzero (the matrix is invertible)")
             if size < 1:
                 raise ValueError("block sizes must be positive")
-            normalized.append((eig, size))
-        if not normalized:
+            entries.append((eig.triple, eig, size))
+        if not entries:
             raise ValueError("a spec needs at least one block")
-        normalized.sort(key=lambda b: (b[0].sort_key, -b[1]))
-        object.__setattr__(self, "blocks", tuple(normalized))
+        # Rank the distinct eigenvalues once by their exact sort_key, then sort
+        # the blocks on plain ints; the order is that of (sort_key, -size).
+        ranked = sorted({triple for triple, _, _ in entries}, key=_order_key)
+        rank = {triple: r for r, triple in enumerate(ranked)}
+        entries.sort(key=lambda e: (rank[e[0]], -e[2]))
+        object.__setattr__(self, "blocks", tuple((eig, size) for _, eig, size in entries))
 
     @property
     def n(self) -> int:

@@ -9,11 +9,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .scalars import as_int
 
 __all__ = ["Partition", "PartitionSets", "parity_sets", "binomial"]
+
+PARITY_CACHE_SIZE = 1024
 
 
 @dataclass(frozen=True, slots=True)
@@ -113,7 +116,10 @@ class PartitionSets:
     singly_even_weight: int
 
 
+@lru_cache(maxsize=PARITY_CACHE_SIZE)
 def parity_sets(p: Partition) -> PartitionSets:
+    """Parity data of p, cached per partition: both classes are frozen, so
+    callers can share one result."""
     mult = dict(p.multiplicities())
     sizes = frozenset(mult)
     even = frozenset(d for d in sizes if d % 2 == 0)

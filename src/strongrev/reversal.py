@@ -76,6 +76,9 @@ class NotStronglyReversibleError(ValueError):
         self.prediction = prediction
 
 
+_ONE, _MINUS_ONE = ONE.triple, MINUS_ONE.triple
+
+
 def _sign_value(k: int) -> GaussianRational:
     return MINUS_ONE if k % 2 else ONE
 
@@ -275,19 +278,24 @@ def pair_blocks(spec: JordanSpec) -> ReversibilityReport:
     of the same size at the inverse eigenvalue.  Ties among equal blocks are
     broken by spec order.
     """
-    waiting: dict[tuple[GaussianRational, int], list[int]] = {}
+    # Keyed on normalized triples, which are equal exactly when the values are.
+    waiting: dict[tuple[tuple[int, int, int], int], list[int]] = {}
+    inverses: dict[tuple[int, int, int], tuple[int, int, int]] = {}
     pairs: list[tuple[int, int]] = []
     singletons: list[int] = []
     for idx, (eig, size) in enumerate(spec.blocks):
-        if eig == ONE or eig == MINUS_ONE:
+        triple = eig.triple
+        if triple == _ONE or triple == _MINUS_ONE:
             singletons.append(idx)
             continue
-        partner_key = (eig.inverse(), size)
-        queue = waiting.get(partner_key)
+        inverse = inverses.get(triple)
+        if inverse is None:
+            inverse = inverses[triple] = eig.inverse().triple
+        queue = waiting.get((inverse, size))
         if queue:
             pairs.append((queue.pop(0), idx))
         else:
-            waiting.setdefault((eig, size), []).append(idx)
+            waiting.setdefault((triple, size), []).append(idx)
     leftover = [idx for queue in waiting.values() for idx in queue]
     if leftover:
         witness_idx = min(leftover)
@@ -300,10 +308,9 @@ def pair_blocks(spec: JordanSpec) -> ReversibilityReport:
 def classify(spec: JordanSpec) -> StrongReversibilityReport:
     """Decide reversibility and strong reversibility of the spec in SL(n)."""
     pairing = pair_blocks(spec)
-    plus_sizes = [size for eig, size in spec.blocks if eig == ONE]
-    minus_sizes = [size for eig, size in spec.blocks if eig == MINUS_ONE]
-    dp = Partition(plus_sizes)
-    dq = Partition(minus_sizes)
+    units = [spec.blocks[idx] for idx in pairing.singletons]  # the +-1 blocks
+    dp = Partition(size for eig, size in units if eig.triple == _ONE)
+    dq = Partition(size for eig, size in units if eig.triple != _ONE)
     p = dp.total
     q = dq.total
     sets_p = parity_sets(dp)

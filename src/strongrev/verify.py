@@ -34,7 +34,7 @@ from .matrices import (
     check_witness,
 )
 from .partitions import Partition, parity_sets
-from .scalars import GaussianRational, MINUS_ONE, ONE, as_scalar
+from .scalars import GaussianRational, MINUS_ONE, ONE, as_int, as_scalar
 from .scalars import I as IMAGINARY
 
 __all__ = [
@@ -82,7 +82,9 @@ class SpecGenerator:
 
     Exhaustive mode enumerates every multiset of (eigenvalue, size) pairs
     exactly once; random mode draws ``count`` specs deterministically from
-    ``seed``.
+    ``seed``.  Pool values must be distinct and nonzero, and the sizes and
+    ``count`` must be ints; anything else is refused here, before any spec
+    is built.
     """
 
     def __init__(
@@ -94,14 +96,18 @@ class SpecGenerator:
         count: int = 0,
         max_block_size: int | None = None,
     ):
-        self.max_n = int(max_n)
+        self.max_n = as_int(max_n)
         self.pool = tuple(as_scalar(v) for v in pool)
+        if not all(self.pool):
+            raise ValueError("pool values must be nonzero (the matrix is invertible)")
+        if len(set(self.pool)) != len(self.pool):
+            raise ValueError("pool values must be distinct")
         if mode not in ("exhaustive", "random"):
             raise ValueError(f"unknown mode {mode!r}")
         self.mode = mode
         self.seed = seed
-        self.count = count
-        self.max_block_size = max_block_size
+        self.count = as_int(count)
+        self.max_block_size = None if max_block_size is None else as_int(max_block_size)
 
     def specs(self) -> Iterator[JordanSpec]:
         if self.mode == "exhaustive":

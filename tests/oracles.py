@@ -8,7 +8,7 @@ from fractions import Fraction
 import random
 
 from strongrev.matrices import ExactMatrix
-from strongrev.scalars import GaussianRational, ZERO
+from strongrev.scalars import GaussianRational, MINUS_ONE, ONE, ZERO
 
 
 def laplace_det(m: ExactMatrix) -> GaussianRational:
@@ -41,3 +41,74 @@ def random_nonzero_scalar(rng: random.Random, bound: int = 5, den: int = 4) -> G
         value = random_scalar(rng, bound, den)
         if value:
             return value
+
+
+def _euler_product(n: int, weight) -> list[int]:
+    """Coefficients of x^0..x^n in prod_k 1/(1 - weight(k) x^k), where
+    weight(k) is 0, 1 or -1."""
+    coeffs = [1] + [0] * n
+    for k in range(1, n + 1):
+        w = weight(k)
+        if w:
+            for m in range(k, n + 1):
+                coeffs[m] += w * coeffs[m - k]
+    return coeffs
+
+
+def _times(f: list[int], g: list[int]) -> list[int]:
+    n = len(f) - 1
+    return [sum(f[i] * g[m - i] for i in range(m + 1)) for m in range(n + 1)]
+
+
+def _power(f: list[int], e: int) -> list[int]:
+    out = [1] + [0] * (len(f) - 1)
+    for _ in range(e):
+        out = _times(out, f)
+    return out
+
+
+def _at_square(f: list[int]) -> list[int]:
+    """f(x^2), truncated to the length of f."""
+    out = [0] * len(f)
+    for j in range(0, len(f), 2):
+        out[j] = f[j // 2]
+    return out
+
+
+def class_counts(max_n: int, pool) -> dict[str, int]:
+    """Verdict tallies over every spec of total size 1..max_n with
+    eigenvalues from an inversion-closed pool, from generating functions
+    alone (no classifier, no pairing).
+
+    With P(x) = prod 1/(1 - x^k), s values of the pool in {1, -1} and t
+    pairs {lam, 1/lam}: all specs are P(x)^|pool|; reversible specs are
+    P(x)^s P(x^2)^t, since a pair needs equal partitions at lam and 1/lam;
+    reversible-only specs are (E - T)/2, where E counts reversible specs
+    without an odd +-1 block and T weighs each of them by (-1)^parity, a
+    +-1 part k carrying -1 iff k = 2 mod 4 and a paired size k carrying
+    (-1)^k.
+    """
+    pool = list(pool)
+    units = [v for v in pool if v == ONE or v == MINUS_ONE]
+    others = [v for v in pool if v != ONE and v != MINUS_ONE]
+    if any(v.inverse() not in others for v in others):
+        raise ValueError("pool must be closed under inversion")
+    s, t = len(units), len(others) // 2
+    n = max_n
+    plain = _euler_product(n, lambda k: 1)
+    pair = _at_square(plain)
+    twisted = _euler_product(n, lambda k: {0: 1, 2: -1}.get(k % 4, 0))
+    pair_twisted = _at_square(_euler_product(n, lambda k: (-1) ** k))
+    everything = _power(plain, len(pool))
+    reversible = _times(_power(plain, s), _power(pair, t))
+    even = _times(_power(pair, s), _power(pair, t))
+    signed = _times(_power(twisted, s), _power(pair_twisted, t))
+    total = sum(everything[1:])
+    rev = sum(reversible[1:])
+    only = sum(e - g for e, g in zip(even[1:], signed[1:])) // 2
+    return {
+        "cases": total,
+        "not_reversible": total - rev,
+        "strongly_reversible": rev - only,
+        "reversible_only": only,
+    }

@@ -10,7 +10,7 @@ import random
 import time
 from fractions import Fraction
 
-from oracles import random_nonzero_scalar
+from oracles import class_counts, random_nonzero_scalar
 from strongrev.canonical import JordanSpec, jordan_block, jordan_matrix, weyr_form
 from strongrev.matrices import ExactMatrix, direct_sum
 from strongrev.reversal import (
@@ -101,6 +101,10 @@ def test_criterion_2_exhaustive_theorem_check():
     def body():
         summary = classification_sweep(SpecGenerator(8, DEFAULT_POOL))
         assert summary["failures"] == []
+        expected = class_counts(8, DEFAULT_POOL)
+        assert {key: summary[key] for key in expected} == expected
+        assert summary["strongly_reversible"] + summary["reversible_only"] == 1001
+        assert summary["reversible_only"] == 44
         assert summary["strongly_reversible"] == summary["witnesses_verified"]
         assert summary["reversible_only"] > 0
         assert summary["involutive_reversers_checked"] > 0

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from strongrev.canonical import (
     JordanSpec,
@@ -19,6 +20,23 @@ from strongrev.partitions import Partition
 from strongrev.scalars import GaussianRational, ONE, ZERO
 
 G = GaussianRational
+
+# Repeated values, equal real parts, negatives and fractions, plus random
+# Gaussian rationals with small heights.
+EIGENVALUES = st.one_of(
+    st.sampled_from(
+        [G(1), G(-1), G(2), G(-2), G(Fraction(1, 2)), G(Fraction(1, 2), 1),
+         G(Fraction(1, 2), -1), G(Fraction(-3, 4)), G(0, 1), G(0, -1)]
+    ),
+    st.builds(
+        G,
+        st.fractions(min_value=-3, max_value=3, max_denominator=4),
+        st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    ).filter(bool),
+)
+BLOCK_LISTS = st.lists(
+    st.tuples(EIGENVALUES, st.integers(min_value=1, max_value=5)), min_size=1, max_size=12
+)
 
 # the 10x10 Jordan matrix with structure (4,4,2) at eigenvalue 1
 JORDAN_442 = ExactMatrix(
@@ -80,6 +98,13 @@ class TestJordanSpec:
     def test_canonical_ordering(self):
         spec = JordanSpec([(G(2), 1), (G(Fraction(1, 2)), 1), (G(2), 3)])
         assert spec.blocks == ((G(Fraction(1, 2)), 1), (G(2), 3), (G(2), 1))
+
+    @given(BLOCK_LISTS, st.randoms(use_true_random=False))
+    def test_canonical_order_matches_reference_sort(self, blocks, rnd):
+        shuffled = list(blocks)
+        rnd.shuffle(shuffled)
+        expected = sorted(blocks, key=lambda b: ((b[0].re, b[0].im), -b[1]))
+        assert JordanSpec(shuffled).blocks == tuple(expected)
 
     def test_equal_classes_equal_specs(self):
         a = JordanSpec([(G(1), 2), (G(-1), 3), (G(1), 4)])

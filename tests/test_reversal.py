@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from oracles import random_nonzero_scalar
 from strongrev.canonical import JordanSpec, jordan_block, jordan_matrix
@@ -10,6 +11,7 @@ from strongrev.reversal import (
     DetSignPrediction,
     NotReversibleError,
     NotStronglyReversibleError,
+    ReversibilityReport,
     classify,
     involution_det_sign,
     involution_reverser,
@@ -224,7 +226,51 @@ class TestPairReverser:
                 pair_reverser(bad, 2)
 
 
+def reference_pair_blocks(spec):
+    """pair_blocks as written on GaussianRational keys, with == and inverse()."""
+    waiting = {}
+    pairs = []
+    singletons = []
+    for idx, (eig, size) in enumerate(spec.blocks):
+        if eig == ONE or eig == MINUS_ONE:
+            singletons.append(idx)
+            continue
+        partner_key = (eig.inverse(), size)
+        queue = waiting.get(partner_key)
+        if queue:
+            pairs.append((queue.pop(0), idx))
+        else:
+            waiting.setdefault((eig, size), []).append(idx)
+    leftover = [idx for queue in waiting.values() for idx in queue]
+    if leftover:
+        witness_idx = min(leftover)
+        return ReversibilityReport(
+            False, tuple(pairs), tuple(singletons), spec.blocks[witness_idx]
+        )
+    return ReversibilityReport(True, tuple(pairs), tuple(singletons), None)
+
+
+_PAIRABLE = [
+    G(2), G(-3), G(Fraction(1, 2), 1), G(Fraction(1, 2), -1), G(Fraction(-2, 3)), I, G(0, 2)
+]
+# Values with their inverses, so pairs form often, plus the +-1 singletons.
+PAIRING_BLOCKS = st.lists(
+    st.tuples(
+        st.sampled_from([ONE, MINUS_ONE] + _PAIRABLE + [v.inverse() for v in _PAIRABLE]),
+        st.integers(min_value=1, max_value=3),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
 class TestPairBlocks:
+    @given(PAIRING_BLOCKS, st.randoms(use_true_random=False))
+    def test_matches_reference_pairing(self, blocks, rnd):
+        rnd.shuffle(blocks)
+        spec = JordanSpec(blocks)
+        assert pair_blocks(spec) == reference_pair_blocks(spec)
+
     def test_simple_pair(self):
         report = pair_blocks(spec_of((2, 2), (HALF, 2)))
         assert report.reversible

@@ -1,9 +1,12 @@
 import dataclasses
+import hashlib
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from oracles import class_counts
 import strongrev.reversal as reversal_module
 from strongrev.canonical import JordanSpec, jordan_block, jordan_matrix
 from strongrev.matrices import ExactMatrix, SingularMatrixError, direct_sum
@@ -13,7 +16,7 @@ from strongrev.reversal import (
     jordan_reverser,
     sl_reverser_witness,
 )
-from strongrev.scalars import GaussianRational, I, MINUS_ONE, ONE
+from strongrev.scalars import GaussianRational, I, MINUS_ONE, ONE, ZERO
 from strongrev.verify import (
     DEFAULT_POOL,
     SpecGenerator,
@@ -174,6 +177,26 @@ class TestSpecGenerator:
         with pytest.raises(ValueError):
             SpecGenerator(3, (ONE,), mode="fuzz")
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"max_n": 7.9}, {"count": 2.5}, {"max_block_size": 1.0}, {"max_n": True}],
+        ids=repr,
+    )
+    def test_rejects_non_integer_sizes(self, kwargs):
+        args = {"max_n": 3, "pool": (ONE,), **kwargs}
+        with pytest.raises(TypeError):
+            SpecGenerator(**args)
+
+    def test_rejects_repeated_pool_value(self):
+        with pytest.raises(ValueError, match="distinct"):
+            SpecGenerator(2, [ONE, ONE])
+        with pytest.raises(ValueError, match="distinct"):
+            SpecGenerator(2, [HALF, G(1) / 2, MINUS_ONE])
+
+    def test_rejects_zero_in_pool(self):
+        with pytest.raises(ValueError, match="nonzero"):
+            SpecGenerator(2, [ONE, ZERO])
+
 
 class TestIterPartitions:
     def test_counts(self):
@@ -203,6 +226,23 @@ class TestClassificationSweep:
         assert summary["failures"] == []
         assert summary["reversible_only"] == 1
         assert summary["strongly_reversible"] == 0
+
+    def test_inversion_closed_pool_matches_class_counts(self):
+        pool = (ONE, MINUS_ONE, G(3), G(Fraction(1, 3)), G(0, 2), G(0, Fraction(-1, 2)))
+        summary = classification_sweep(SpecGenerator(7, pool))
+        assert summary["failures"] == []
+        expected = class_counts(7, pool)
+        assert {key: summary[key] for key in expected} == expected
+
+    def test_unipotent_class_counts_match_classifier_per_n(self):
+        previous = class_counts(0, (ONE,))
+        for n in range(1, 17):
+            counts = class_counts(n, (ONE,))
+            verdicts = [classify(JordanSpec((ONE, d) for d in parts)) for parts in iter_partitions(n)]
+            only = sum(r.reversible and not r.strongly_reversible for r in verdicts)
+            assert counts["reversible_only"] - previous["reversible_only"] == only
+            assert counts["cases"] - previous["cases"] == len(verdicts)
+            previous = counts
 
     def test_corrupted_classifier_is_detected(self, monkeypatch):
         real = reversal_module.classify
@@ -299,3 +339,39 @@ class TestExhaustiveModuleInvariant:
         assert summary["failures"] == []
         assert summary["strongly_reversible"] == summary["witnesses_verified"]
         assert summary["reversible_only"] > 0
+
+
+def _report_fields(report) -> dict:
+    witness = report.pairing.failure_witness
+    return {
+        "reversible": report.reversible,
+        "strongly_reversible": report.strongly_reversible,
+        "p": report.p,
+        "q": report.q,
+        "plus": list(report.partition_plus.parts),
+        "minus": list(report.partition_minus.parts),
+        "odd": report.odd_block_present,
+        "parity_value": report.parity_value,
+        "parity_even": report.parity_even,
+        "pairs": [list(pair) for pair in report.pairing.pairs],
+        "singletons": list(report.pairing.singletons),
+        "witness": None if witness is None else [str(witness[0]), witness[1]],
+    }
+
+
+# SHA-256 over every spec of SpecGenerator(7, DEFAULT_POOL) and its classify
+# report, recorded before spec construction and pairing moved to integer
+# triples; block order, pairing and every verdict must stay byte-identical.
+SWEEP_7_DIGEST = "540cd9c57602200b011debe9b33df6b3db63163e2c49c5cb1f9bb959425483bc"
+
+
+def test_sweep_specs_and_reports_are_byte_identical():
+    digest = hashlib.sha256()
+    count = 0
+    for spec in SpecGenerator(7, DEFAULT_POOL).specs():
+        count += 1
+        record = [spec.to_json_dict(), _report_fields(classify(spec))]
+        digest.update(json.dumps(record, sort_keys=True).encode())
+        digest.update(b"\n")
+    assert count == 10228
+    assert digest.hexdigest() == SWEEP_7_DIGEST
