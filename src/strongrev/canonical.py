@@ -9,17 +9,16 @@ and verifies.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
 from itertools import groupby
 from operator import itemgetter
 from typing import Iterable
 
 from .matrices import ExactMatrix, PermutationMap, direct_sum, inflate, offsets
 from .partitions import Partition
-from .scalars import GaussianRational, ZERO, as_int, as_scalar, from_triple, parse
+from .scalars import GaussianRational, ZERO, as_int, as_scalar, parse
 
 __all__ = [
     "JordanSpec",
@@ -36,13 +35,6 @@ __all__ = [
 
 CENTRALIZER_COEFF_RANGE = 3
 CENTRALIZER_SAMPLE_ATTEMPTS = 64
-ORDER_KEY_CACHE_SIZE = 1024
-
-
-@lru_cache(maxsize=ORDER_KEY_CACHE_SIZE)
-def _order_key(triple: tuple[int, int, int]) -> tuple[Fraction, Fraction]:
-    """GaussianRational.sort_key of the value with this normalized triple."""
-    return from_triple(*triple).sort_key
 
 
 @dataclass(frozen=True, slots=True)
@@ -68,9 +60,12 @@ class JordanSpec:
             entries.append((eig.triple, eig, size))
         if not entries:
             raise ValueError("a spec needs at least one block")
-        # Rank the distinct eigenvalues once by their exact sort_key, then sort
-        # the blocks on plain ints; the order is that of (sort_key, -size).
-        ranked = sorted({triple for triple, _, _ in entries}, key=_order_key)
+        # Rank the distinct eigenvalues once by sort_key, compared exactly as
+        # the numerator pairs over the common denominator lcm, then sort the
+        # blocks on plain ints; the order is that of (sort_key, -size).
+        triples = {triple for triple, _, _ in entries}
+        lcm = math.lcm(*(d for _, _, d in triples))
+        ranked = sorted(triples, key=lambda t: (t[0] * (lcm // t[2]), t[1] * (lcm // t[2])))
         rank = {triple: r for r, triple in enumerate(ranked)}
         entries.sort(key=lambda e: (rank[e[0]], -e[2]))
         object.__setattr__(self, "blocks", tuple((eig, size) for _, eig, size in entries))

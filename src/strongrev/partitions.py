@@ -1,22 +1,19 @@
 """Integer partitions, conjugation, Young diagrams and part-size parity data.
 
-The classifier needs, for each partition, which part sizes are odd, which
-are even, and which are singly even (that is, congruent to 2 mod 4),
-together with the total multiplicity carried by the singly even sizes.
+Strong reversibility depends on which part sizes are odd, which are even,
+and which are singly even (that is, congruent to 2 mod 4), together with the
+total multiplicity carried by the singly even sizes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .scalars import as_int
 
 __all__ = ["Partition", "PartitionSets", "parity_sets", "binomial"]
-
-PARITY_CACHE_SIZE = 1024
 
 
 @dataclass(frozen=True, slots=True)
@@ -116,10 +113,10 @@ class PartitionSets:
     singly_even_weight: int
 
 
-@lru_cache(maxsize=PARITY_CACHE_SIZE)
 def parity_sets(p: Partition) -> PartitionSets:
-    """Parity data of p, cached per partition: both classes are frozen, so
-    callers can share one result."""
+    """Parity data of p, from its [d^t] view.  The classifier reads the same
+    facts straight from block sizes; the special-case verdicts in
+    :mod:`strongrev.verify` use this one, so the two stay independent."""
     mult = dict(p.multiplicities())
     sizes = frozenset(mult)
     even = frozenset(d for d in sizes if d % 2 == 0)

@@ -32,7 +32,7 @@ from .matrices import (
     inflate,
     offsets,
 )
-from .partitions import Partition, binomial, parity_sets
+from .partitions import Partition, binomial
 from .scalars import GaussianRational, MINUS_ONE, ONE, ZERO, as_scalar
 from .scalars import I as IMAGINARY
 
@@ -313,13 +313,11 @@ def classify(spec: JordanSpec) -> StrongReversibilityReport:
     dq = Partition(size for eig, size in units if eig.triple != _ONE)
     p = dp.total
     q = dq.total
-    sets_p = parity_sets(dp)
-    sets_q = parity_sets(dq)
-    odd_present = bool(sets_p.odd_sizes or sets_q.odd_sizes)
+    odd_present = any(size % 2 for _, size in units)
     rest = spec.n - p - q
     if pairing.reversible and rest % 2 != 0:
         raise RuntimeError("internal error: paired blocks cover an odd dimension")
-    parity_value = sets_p.singly_even_weight + sets_q.singly_even_weight + rest // 2
+    parity_value = sum(size % 4 == 2 for _, size in units) + rest // 2
     parity_even = parity_value % 2 == 0
     strongly = pairing.reversible and (odd_present or parity_even)
     return StrongReversibilityReport(

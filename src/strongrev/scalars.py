@@ -1,9 +1,10 @@
 """Exact arithmetic in the field Q(i) of Gaussian rationals.
 
-Every matrix entry, eigenvalue and determinant in this package is a
-:class:`GaussianRational`; nothing is ever rounded.  Any class offering the
-same arithmetic protocol (``+ - * / ** ==``, ``inverse``, truthiness for
-"nonzero") could be substituted as the scalar field.
+Every eigenvalue, determinant and matrix entry in this package is exact;
+nothing is ever rounded.  A :class:`GaussianRational` is the normalized
+triple of ints ``(a, b, d)`` for ``(a + b*i)/d``, and :func:`parse` reads
+text straight into that triple.  :class:`~strongrev.matrices.ExactMatrix`
+stores the same ints and does not go through this class.
 """
 
 from __future__ import annotations
@@ -286,19 +287,11 @@ I = GaussianRational(0, 1)
 # real   := rat
 # imag   := [+|-] rat "i" | [+|-] "i"
 # rat    := [-] int [ "/" posint ]
-_RAT = r"-?\d+(?:/\d+)?"
 _SCALAR = _re.compile(
-    rf"(?:(?P<real>{_RAT})(?=[+-]|$))?"
-    rf"(?:(?P<isign>[+-])?(?P<imag>\d+(?:/\d+)?)?(?P<unit>i))?",
+    r"(?:(?P<real>(?P<rnum>-?\d+)(?:/(?P<rden>\d+))?)(?=[+-]|$))?"
+    r"(?:(?P<isign>[+-])?(?P<imag>(?P<inum>\d+)(?:/(?P<iden>\d+))?)?(?P<unit>i))?",
     _re.ASCII,
 )
-
-
-def _fraction(text: str, source: str, position: int) -> Fraction:
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ScalarParseError(source, position, "zero denominator") from None
 
 
 def parse(text: str) -> GaussianRational:
@@ -312,15 +305,17 @@ def parse(text: str) -> GaussianRational:
     end = m.end() if m else 0
     if not s or end != len(s) or (m.group("real") is None and m.group("unit") is None):
         raise ScalarParseError(text, end)
-    re_part = Fraction(0)
+    # a/p + (b/q)i == (a*q + b*p*i)/(p*q)
+    a, p = 0, 1
     if m.group("real") is not None:
-        re_part = _fraction(m.group("real"), text, m.start("real"))
-    im_part = Fraction(0)
+        a, p = int(m.group("rnum")), int(m.group("rden") or 1)
+        if not p:
+            raise ScalarParseError(text, m.start("real"), "zero denominator")
+    b, q = 0, 1
     if m.group("unit") is not None:
-        mag = Fraction(1)
-        if m.group("imag") is not None:
-            mag = _fraction(m.group("imag"), text, m.start("imag"))
+        b, q = int(m.group("inum") or 1), int(m.group("iden") or 1)
+        if not q:
+            raise ScalarParseError(text, m.start("imag"), "zero denominator")
         if m.group("isign") == "-":
-            mag = -mag
-        im_part = mag
-    return GaussianRational(re_part, im_part)
+            b = -b
+    return from_triple(a * q, b * p, p * q)

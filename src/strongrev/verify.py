@@ -82,9 +82,9 @@ class SpecGenerator:
 
     Exhaustive mode enumerates every multiset of (eigenvalue, size) pairs
     exactly once; random mode draws ``count`` specs deterministically from
-    ``seed``.  Pool values must be distinct and nonzero, and the sizes and
-    ``count`` must be ints; anything else is refused here, before any spec
-    is built.
+    ``seed``.  Pool values must be distinct and nonzero, ``max_n`` and
+    ``max_block_size`` must be positive ints and ``count`` a nonnegative int;
+    anything else is refused here, before any spec is built.
     """
 
     def __init__(
@@ -97,17 +97,23 @@ class SpecGenerator:
         max_block_size: int | None = None,
     ):
         self.max_n = as_int(max_n)
+        if self.max_n < 1:
+            raise ValueError(f"max_n must be at least 1, got {self.max_n}")
         self.pool = tuple(as_scalar(v) for v in pool)
         if not all(self.pool):
             raise ValueError("pool values must be nonzero (the matrix is invertible)")
-        if len(set(self.pool)) != len(self.pool):
+        if len({v.triple for v in self.pool}) != len(self.pool):
             raise ValueError("pool values must be distinct")
         if mode not in ("exhaustive", "random"):
             raise ValueError(f"unknown mode {mode!r}")
         self.mode = mode
         self.seed = seed
         self.count = as_int(count)
+        if self.count < 0:
+            raise ValueError(f"count must be nonnegative, got {self.count}")
         self.max_block_size = None if max_block_size is None else as_int(max_block_size)
+        if self.max_block_size is not None and self.max_block_size < 1:
+            raise ValueError(f"max_block_size must be at least 1, got {self.max_block_size}")
 
     def specs(self) -> Iterator[JordanSpec]:
         if self.mode == "exhaustive":

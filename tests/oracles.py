@@ -6,9 +6,10 @@ value computed here and a value computed by the package confirm each other.
 
 from fractions import Fraction
 import random
+import re
 
 from strongrev.matrices import ExactMatrix
-from strongrev.scalars import GaussianRational, MINUS_ONE, ONE, ZERO
+from strongrev.scalars import GaussianRational, MINUS_ONE, ONE, ScalarParseError, ZERO
 
 
 def laplace_det(m: ExactMatrix) -> GaussianRational:
@@ -27,6 +28,45 @@ def laplace_det(m: ExactMatrix) -> GaussianRational:
         term = coeff * laplace_det(minor)
         total = total + term if j % 2 == 0 else total - term
     return total
+
+
+_RAT = r"-?\d+(?:/\d+)?"
+_SCALAR = re.compile(
+    rf"(?:(?P<real>{_RAT})(?=[+-]|$))?"
+    rf"(?:(?P<isign>[+-])?(?P<imag>\d+(?:/\d+)?)?(?P<unit>i))?",
+    re.ASCII,
+)
+
+
+def _fraction(text: str, source: str, position: int) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ScalarParseError(source, position, "zero denominator") from None
+
+
+def reference_parse(text: str) -> GaussianRational:
+    """The scalar grammar parsed through Fraction(text) for each part, as
+    scalars.parse did before it read the digits into ints directly."""
+    if not isinstance(text, str):
+        raise TypeError(f"scalar text must be a string, got {type(text).__name__}")
+    s = text.strip()
+    m = _SCALAR.match(s)
+    end = m.end() if m else 0
+    if not s or end != len(s) or (m.group("real") is None and m.group("unit") is None):
+        raise ScalarParseError(text, end)
+    re_part = Fraction(0)
+    if m.group("real") is not None:
+        re_part = _fraction(m.group("real"), text, m.start("real"))
+    im_part = Fraction(0)
+    if m.group("unit") is not None:
+        mag = Fraction(1)
+        if m.group("imag") is not None:
+            mag = _fraction(m.group("imag"), text, m.start("imag"))
+        if m.group("isign") == "-":
+            mag = -mag
+        im_part = mag
+    return GaussianRational(re_part, im_part)
 
 
 def random_scalar(rng: random.Random, bound: int = 5, den: int = 4) -> GaussianRational:

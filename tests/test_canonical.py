@@ -22,7 +22,8 @@ from strongrev.scalars import GaussianRational, ONE, ZERO
 G = GaussianRational
 
 # Repeated values, equal real parts, negatives and fractions, plus random
-# Gaussian rationals with small heights.
+# Gaussian rationals with small heights and with large numerators and
+# denominators.
 EIGENVALUES = st.one_of(
     st.sampled_from(
         [G(1), G(-1), G(2), G(-2), G(Fraction(1, 2)), G(Fraction(1, 2), 1),
@@ -32,6 +33,11 @@ EIGENVALUES = st.one_of(
         G,
         st.fractions(min_value=-3, max_value=3, max_denominator=4),
         st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    ).filter(bool),
+    st.builds(
+        G,
+        st.fractions(min_value=-(10**9), max_value=10**9, max_denominator=10**6),
+        st.fractions(min_value=-(10**9), max_value=10**9, max_denominator=10**6),
     ).filter(bool),
 )
 BLOCK_LISTS = st.lists(

@@ -1,6 +1,8 @@
 """Byte-exact CLI outputs: every case runs ``main(argv)`` on the small input
 files in ``tests/golden/`` and must reproduce the recorded stdout bytes
 (``<case>.out``) and the recorded exit code and stderr (``expected.json``).
+Error messages name input files relative to ``tests/golden/``, so the
+recordings do not depend on where the checkout lives.
 
 The recordings are the equivalence check for refactors that must not
 change behaviour.  To record them again, on the commit whose outputs are
@@ -10,6 +12,7 @@ the reference, run ``PYTHONPATH=src python tests/test_cli_golden.py``.
 import contextlib
 import io
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -37,6 +40,10 @@ CASES = dict(
     + _formats("weyr", ["weyr", "--input", "weyr.json"])
     + _formats("verify-pass", ["verify", "--matrix-a", "pass_a.json", "--matrix-g", "pass_g.json"])
     + _formats("verify-fail", ["verify", "--matrix-a", "fail_a.json", "--matrix-g", "fail_g.json"])
+    + _formats("classify-malformed-real-denominator", ["classify", "--input", "bad_real_denominator.json"])
+    + _formats("classify-malformed-imag-denominator", ["classify", "--input", "bad_imag_denominator.json"])
+    + _formats("classify-malformed-double-slash", ["classify", "--input", "bad_double_slash.json"])
+    + _formats("verify-malformed-entry", ["verify", "--matrix-a", "bad_entry_a.json", "--matrix-g", "pass_g.json"])
 )
 
 
@@ -45,7 +52,7 @@ def run_case(argv: list[str]) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(resolved)
-    return code, out.getvalue(), err.getvalue()
+    return code, out.getvalue(), err.getvalue().replace(f"{GOLDEN}{os.sep}", "")
 
 
 def test_every_case_is_recorded():
@@ -61,9 +68,14 @@ def test_output_matches_recording(case):
     assert err == expected["stderr"]
 
 
-TEXT_CASES = sorted(
-    case for case in CASES if case.endswith("-text") and (GOLDEN / f"{case}.out").read_bytes()
-)
+def _recorded_output(case: str) -> bool:
+    """Whether the case has a nonempty recording; a case not yet recorded
+    has none, so the recorder below can still import this file."""
+    path = GOLDEN / f"{case}.out"
+    return path.is_file() and path.stat().st_size > 0
+
+
+TEXT_CASES = sorted(case for case in CASES if case.endswith("-text") and _recorded_output(case))
 
 
 @pytest.mark.parametrize("case", TEXT_CASES)

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import reference_parse
 from strongrev.scalars import (
     GaussianRational,
     I,
@@ -111,6 +112,44 @@ class TestFieldLaws:
             assert math.gcd(abs(part.numerator), part.denominator) == 1
 
 
+# Text in the shape of the scalar grammar: signs, leading zeros, "-0", bare
+# units, zero denominators in either part, numerals of about 1 000 digits,
+# surrounding whitespace and junk suffixes.
+_numeral = st.one_of(
+    st.text("0123456789", min_size=1, max_size=4),
+    st.text("0123456789", min_size=990, max_size=1010),
+)
+_denominator = st.one_of(st.just(""), st.just("/0"), st.just("/00"), _numeral.map("/".__add__))
+_real = st.one_of(
+    st.just(""),
+    st.just("-0"),
+    st.builds(lambda sign, num, den: sign + num + den, st.sampled_from(["", "-"]), _numeral, _denominator),
+)
+_imag = st.one_of(
+    st.just(""),
+    st.builds(
+        lambda sign, mag: sign + mag + "i",
+        st.sampled_from(["", "+", "-"]),
+        st.one_of(st.just(""), st.builds(str.__add__, _numeral, _denominator)),
+    ),
+)
+_space = st.sampled_from(["", " ", "  ", "\t", "\n", " \r\n"])
+_junk = st.one_of(
+    st.just(""), st.sampled_from(["x", "i", "/", "+", "-", "1", "/0", " 1", "\u0663", "ii"])
+)
+scalar_texts = st.builds(
+    lambda lead, real, imag, junk, trail: lead + real + imag + junk + trail,
+    _space, _real, _imag, _junk, _space,
+)
+
+
+def _parse_outcome(parse_fn, text):
+    try:
+        return parse_fn(text).triple
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+
+
 class TestParseFormat:
     def test_parse_examples(self):
         assert parse("3/2-1/2i") == G(Fraction(3, 2), Fraction(-1, 2))
@@ -139,6 +178,10 @@ class TestParseFormat:
         with pytest.raises(ScalarParseError) as info:
             parse(bad)
         assert info.value.position >= 0
+
+    @given(text=scalar_texts)
+    def test_parse_matches_reference(self, text):
+        assert _parse_outcome(parse, text) == _parse_outcome(reference_parse, text)
 
     @given(
         re_part=st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4),

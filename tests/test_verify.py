@@ -187,6 +187,22 @@ class TestSpecGenerator:
         with pytest.raises(TypeError):
             SpecGenerator(**args)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"max_n": 0, "mode": "random", "count": 2},
+            {"max_n": -2},
+            {"max_block_size": 0},
+            {"max_block_size": -1, "mode": "random", "count": 2},
+            {"count": -3, "mode": "random"},
+        ],
+        ids=repr,
+    )
+    def test_rejects_out_of_range_sizes(self, kwargs):
+        args = {"max_n": 3, "pool": DEFAULT_POOL, **kwargs}
+        with pytest.raises(ValueError, match="must be"):
+            SpecGenerator(**args)
+
     def test_rejects_repeated_pool_value(self):
         with pytest.raises(ValueError, match="distinct"):
             SpecGenerator(2, [ONE, ONE])
