@@ -70,6 +70,15 @@ class JordanSpec:
         entries.sort(key=lambda e: (rank[e[0]], -e[2]))
         object.__setattr__(self, "blocks", tuple((eig, size) for _, eig, size in entries))
 
+    @classmethod
+    def _from_canonical(cls, blocks: tuple[tuple[GaussianRational, int], ...]) -> "JordanSpec":
+        """Spec from a block tuple that is already checked and in canonical
+        order, with no validation or re-ranking: the caller guarantees that
+        ``JordanSpec(blocks).blocks == blocks``."""
+        spec = object.__new__(cls)
+        object.__setattr__(spec, "blocks", blocks)
+        return spec
+
     @property
     def n(self) -> int:
         return sum(size for _, size in self.blocks)

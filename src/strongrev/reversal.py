@@ -33,7 +33,7 @@ from .matrices import (
     offsets,
 )
 from .partitions import Partition, binomial
-from .scalars import GaussianRational, MINUS_ONE, ONE, ZERO, as_scalar
+from .scalars import GaussianRational, MINUS_ONE, ONE, ZERO, as_scalar, inverse_triple
 from .scalars import I as IMAGINARY
 
 __all__ = [
@@ -54,6 +54,7 @@ __all__ = [
     "pair_blocks",
     "classify",
     "involution_det_sign",
+    "block_reversers",
     "assemble_block_reverser",
     "involutive_witness",
     "sl_reverser_witness",
@@ -218,19 +219,35 @@ class StrongReversibilityReport:
     ``parity_value`` is the singly-even multiplicity weight of the +1 and -1
     Jordan structures plus half the size of everything else; a reversible
     spec is strongly reversible iff some +-1 eigenvalue has an odd block or
-    that value is even.
+    that value is even.  ``plus_sizes`` and ``minus_sizes`` are the block
+    sizes at +1 and -1; the multiplicities and partitions are read from them
+    on demand.
     """
 
     reversible: bool
     strongly_reversible: bool
-    p: int
-    q: int
-    partition_plus: Partition
-    partition_minus: Partition
+    plus_sizes: tuple[int, ...]
+    minus_sizes: tuple[int, ...]
     odd_block_present: bool
     parity_value: int
     parity_even: bool
     pairing: ReversibilityReport
+
+    @property
+    def p(self) -> int:
+        return sum(self.plus_sizes)
+
+    @property
+    def q(self) -> int:
+        return sum(self.minus_sizes)
+
+    @property
+    def partition_plus(self) -> Partition:
+        return Partition(self.plus_sizes)
+
+    @property
+    def partition_minus(self) -> Partition:
+        return Partition(self.minus_sizes)
 
 
 @dataclass(frozen=True)
@@ -290,7 +307,7 @@ def pair_blocks(spec: JordanSpec) -> ReversibilityReport:
             continue
         inverse = inverses.get(triple)
         if inverse is None:
-            inverse = inverses[triple] = eig.inverse().triple
+            inverse = inverses[triple] = inverse_triple(*triple)
         queue = waiting.get((inverse, size))
         if queue:
             pairs.append((queue.pop(0), idx))
@@ -309,12 +326,10 @@ def classify(spec: JordanSpec) -> StrongReversibilityReport:
     """Decide reversibility and strong reversibility of the spec in SL(n)."""
     pairing = pair_blocks(spec)
     units = [spec.blocks[idx] for idx in pairing.singletons]  # the +-1 blocks
-    dp = Partition(size for eig, size in units if eig.triple == _ONE)
-    dq = Partition(size for eig, size in units if eig.triple != _ONE)
-    p = dp.total
-    q = dq.total
+    plus = tuple(size for eig, size in units if eig.triple == _ONE)
+    minus = tuple(size for eig, size in units if eig.triple != _ONE)
     odd_present = any(size % 2 for _, size in units)
-    rest = spec.n - p - q
+    rest = spec.n - sum(plus) - sum(minus)
     if pairing.reversible and rest % 2 != 0:
         raise RuntimeError("internal error: paired blocks cover an odd dimension")
     parity_value = sum(size % 4 == 2 for _, size in units) + rest // 2
@@ -323,10 +338,8 @@ def classify(spec: JordanSpec) -> StrongReversibilityReport:
     return StrongReversibilityReport(
         reversible=pairing.reversible,
         strongly_reversible=strongly,
-        p=p,
-        q=q,
-        partition_plus=dp,
-        partition_minus=dq,
+        plus_sizes=plus,
+        minus_sizes=minus,
         odd_block_present=odd_present,
         parity_value=parity_value,
         parity_even=parity_even,
@@ -348,16 +361,32 @@ def involution_det_sign(spec: JordanSpec) -> DetSignPrediction:
     return DetSignPrediction(free=False, sign=1 if report.parity_even else -1)
 
 
-def assemble_block_reverser(
-    spec: JordanSpec, pairing: ReversibilityReport, scales: Sequence[GaussianRational]
-) -> ExactMatrix:
-    """Blockwise reverser of jordan_matrix(spec) from one scale per block.
+def block_reversers(spec: JordanSpec) -> list[ExactMatrix]:
+    """R(lam, d) for every block (lam, d) of the spec, in block order; equal
+    blocks share one matrix, built once."""
+    built: dict[tuple[tuple[int, int, int], int], ExactMatrix] = {}
+    out = []
+    for eig, size in spec.blocks:
+        key = (eig.triple, size)
+        r = built.get(key)
+        if r is None:
+            r = built[key] = jordan_reverser(eig, size)
+        out.append(r)
+    return out
 
-    Block idx = (lam, d) contributes scales[idx] * R(lam, d) at block position
-    (idx, partner): the partner is idx itself for a singleton and the other
-    block of its pair otherwise, which pair_blocks makes (1/lam, d).  The
-    result is an involution exactly when every singleton scale squares to 1
-    and the two scales of every pair multiply to 1.
+
+def assemble_block_reverser(
+    spec: JordanSpec, pairing: ReversibilityReport, blocks: Sequence[ExactMatrix]
+) -> ExactMatrix:
+    """Blockwise reverser of jordan_matrix(spec) from one matrix per block.
+
+    blocks[idx] is a multiple scales[idx] * R(lam, d) of the reverser of
+    block idx = (lam, d) and goes to block position (idx, partner): the
+    partner is idx itself for a singleton and the other block of its pair
+    otherwise, which pair_blocks makes (1/lam, d).  The result is an
+    involution exactly when every singleton scale squares to 1 and the two
+    scales of every pair multiply to 1.  The blocks are copied, so callers
+    may share them between results.
     """
     partner = {idx: idx for idx in pairing.singletons}
     for i, j in pairing.pairs:
@@ -365,11 +394,19 @@ def assemble_block_reverser(
     offs = offsets(size for _, size in spec.blocks)
     return ExactMatrix.from_blocks(
         spec.n,
-        [
-            (offs[idx], offs[partner[idx]], scales[idx] * jordan_reverser(eig, size))
-            for idx, (eig, size) in enumerate(spec.blocks)
-        ],
+        [(offs[idx], offs[partner[idx]], block) for idx, block in enumerate(blocks)],
     )
+
+
+def _scaled_block_reverser(
+    spec: JordanSpec, pairing: ReversibilityReport, scales: Sequence[GaussianRational]
+) -> ExactMatrix:
+    """assemble_block_reverser with blocks[idx] = scales[idx] * R(lam, d)."""
+    blocks = [
+        r if scale == ONE else r.scale(scale)
+        for r, scale in zip(block_reversers(spec), scales)
+    ]
+    return assemble_block_reverser(spec, pairing, blocks)
 
 
 def _verified_bundle(
@@ -438,7 +475,7 @@ def involutive_witness(spec: JordanSpec) -> WitnessBundle:
         flip = odd_indices[0]
         scales[flip] = -scales[flip]
         transcript.append(f"block {flip}: flipped scale to absorb forced sign -1")
-    g = assemble_block_reverser(spec, pairing, scales)
+    g = _scaled_block_reverser(spec, pairing, scales)
     return _verified_bundle(spec, g, transcript, require_involution=True)
 
 
@@ -476,7 +513,7 @@ def sl_reverser_witness(spec: JordanSpec) -> WitnessBundle:
         transcript.append(
             f"pair ({i},{j}): J({lam},{size}) scales ({scales[i]}, {scales[j]}), det +1"
         )
-    g = assemble_block_reverser(spec, pairing, scales)
+    g = _scaled_block_reverser(spec, pairing, scales)
     return _verified_bundle(spec, g, transcript, require_involution=False)
 
 

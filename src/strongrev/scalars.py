@@ -10,6 +10,7 @@ stores the same ints and does not go through this class.
 from __future__ import annotations
 
 import re as _re
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -20,12 +21,16 @@ __all__ = [
     "as_scalar",
     "format_triple",
     "from_triple",
+    "inverse_triple",
     "parse",
     "ZERO",
     "ONE",
     "MINUS_ONE",
     "I",
 ]
+
+
+_HASH_MODULUS = sys.hash_info.modulus
 
 
 class ScalarParseError(ValueError):
@@ -166,9 +171,20 @@ class GaussianRational:
     def __hash__(self):
         # Matches hash(int)/hash(Fraction) on the real axis, so mixed-type
         # dict keys stay consistent with __eq__.
-        if not self._b:
-            return hash(self._a) if self._d == 1 else hash(Fraction(self._a, self._d))
-        return hash((self._a, self._b, self._d))
+        if self._b:
+            return hash((self._a, self._b, self._d))
+        if self._d == 1:
+            return hash(self._a)
+        # The rule for rationals in the Python docs ("Hashing of numeric
+        # types"), taken from the ints without building a Fraction.
+        try:
+            inv = pow(self._d, -1, _HASH_MODULUS)
+        except ValueError:  # d is a multiple of the modulus
+            h = sys.hash_info.inf
+        else:
+            h = hash(hash(abs(self._a)) * inv)
+        h = h if self._a >= 0 else -h
+        return -2 if h == -1 else h
 
     def __bool__(self) -> bool:
         return self._a != 0 or self._b != 0
@@ -181,11 +197,7 @@ class GaussianRational:
         return Fraction(self._a * self._a + self._b * self._b, self._d * self._d)
 
     def inverse(self) -> "GaussianRational":
-        a, b, d = self._a, self._b, self._d
-        n = a * a + b * b
-        if not n:
-            raise ZeroDivisionError("division by zero in Q(i)")
-        return from_triple(d * a, -d * b, n)
+        return _triple(*inverse_triple(self._a, self._b, self._d))
 
     @property
     def sort_key(self) -> tuple[Fraction, Fraction]:
@@ -233,6 +245,17 @@ def from_triple(a: int, b: int, d: int) -> GaussianRational:
     if g == 1:
         return _triple(a, b, d)
     return _triple(a // g, b // g, d // g)
+
+
+def inverse_triple(a: int, b: int, d: int) -> tuple[int, int, int]:
+    """The normalized triple of 1/x for x = (a + b*i)/d with d > 0:
+    d*(a - b*i)/(a^2 + b^2), reduced by the gcd of its three ints."""
+    n = a * a + b * b
+    if not n:
+        raise ZeroDivisionError("division by zero in Q(i)")
+    re, im = d * a, -d * b
+    g = gcd(re, im, n)
+    return (re // g, im // g, n // g)
 
 
 def _sum(a1: int, b1: int, d1: int, a2: int, b2: int, d2: int) -> GaussianRational:

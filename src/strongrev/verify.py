@@ -8,6 +8,7 @@ path cannot silently agree with itself.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import random
 from collections import Counter
@@ -124,15 +125,25 @@ class SpecGenerator:
     def _exhaustive(self) -> Iterator[JordanSpec]:
         limit = self.max_n if self.max_block_size is None else min(self.max_n, self.max_block_size)
         items = [(eig, size) for eig in self.pool for size in range(1, limit + 1)]
+        # The recursion walks the items in pool order; each spec's blocks are
+        # its items in canonical order, so acc holds the chosen items'
+        # canonical positions, kept sorted, and every spec is built from an
+        # already canonical tuple.
+        canon = JordanSpec(items).blocks
+        position = {block: k for k, block in enumerate(canon)}
+        order = [position[item] for item in items]
+        sizes = [size for _, size in items]
+        build = JordanSpec._from_canonical
 
-        def rec(start: int, budget: int, acc: list) -> Iterator[JordanSpec]:
+        def rec(start: int, budget: int, acc: list[int]) -> Iterator[JordanSpec]:
             for idx in range(start, len(items)):
-                size = items[idx][1]
+                size = sizes[idx]
                 if size <= budget:
-                    acc.append(items[idx])
-                    yield JordanSpec(acc)
+                    at = bisect.bisect(acc, order[idx])
+                    acc.insert(at, order[idx])
+                    yield build(tuple(map(canon.__getitem__, acc)))
                     yield from rec(idx, budget - size, acc)
-                    acc.pop()
+                    del acc[at]
 
         yield from rec(0, self.max_n, [])
 
@@ -155,16 +166,27 @@ def iter_involutive_reversers(
 ) -> Iterator[ExactMatrix]:
     """Every blockwise involutive reverser the harness knows how to build:
     all +-1 sign patterns on singleton blocks, and every pair scaled by
-    (u, 1/u) for the units u in 1, -1, i, -i."""
-    scales = [ONE] * len(spec.blocks)
+    (u, 1/u) for the units u in 1, -1, i, -i.
+
+    Each R(lam, d) and its unit multiples are built once per spec; the loop
+    only picks one choice per singleton and per pair and places them."""
+    base = reversal.block_reversers(spec)
     units = (ONE, MINUS_ONE, IMAGINARY, -IMAGINARY)
-    for signs in itertools.product((ONE, MINUS_ONE), repeat=len(pairing.singletons)):
-        for idx, sign in zip(pairing.singletons, signs):
-            scales[idx] = sign
-        for combo in itertools.product(units, repeat=len(pairing.pairs)):
-            for (i, j), u in zip(pairing.pairs, combo):
-                scales[i], scales[j] = u, u.inverse()
-            yield reversal.assemble_block_reverser(spec, pairing, scales)
+    # One list of choices per singleton and per pair; a choice is the
+    # (block index, block) entries it sets.
+    options = [
+        [((idx, base[idx].scale(sign)),) for sign in (ONE, MINUS_ONE)]
+        for idx in pairing.singletons
+    ] + [
+        [((i, base[i].scale(u)), (j, base[j].scale(u.inverse()))) for u in units]
+        for i, j in pairing.pairs
+    ]
+    blocks = list(base)
+    for combo in itertools.product(*options):
+        for choice in combo:
+            for idx, block in choice:
+                blocks[idx] = block
+        yield reversal.assemble_block_reverser(spec, pairing, blocks)
 
 
 def _new_summary(name: str) -> dict:
@@ -179,7 +201,10 @@ def classification_sweep(gen: SpecGenerator) -> dict:
     """For every generated spec: a strongly reversible verdict must come with
     a verified involutive SL witness, and a reversible-only verdict must come
     with a Forced(-1) determinant prediction that every harness-constructible
-    involutive reverser obeys exactly."""
+    involutive reverser obeys exactly.
+
+    Only ``gen.specs()`` is read, so any object with that method can feed
+    the sweep, and every spec it yields is counted."""
     summary = _new_summary("classification_sweep")
     summary.update(
         not_reversible=0,

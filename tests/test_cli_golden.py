@@ -30,6 +30,7 @@ CASES = dict(
     _formats("classify-strong", ["classify", "--input", "strong.json"])
     + _formats("classify-reversible-only", ["classify", "--input", "reversible_only.json"])
     + _formats("classify-not-reversible", ["classify", "--input", "not_reversible.json"])
+    + _formats("classify-not-reversible-units", ["classify", "--input", "not_reversible_units.json"])
     + _formats("witness-involutive-pairs", ["witness", "--involutive", "--input", "pairs.json"])
     + _formats("witness-involutive-flip", ["witness", "--involutive", "--input", "flip.json"])
     + _formats("witness-involutive-refused-1", ["witness", "--involutive", "--input", "reversible_only.json"])

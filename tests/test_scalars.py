@@ -1,5 +1,6 @@
 import pickle
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -204,6 +205,31 @@ class TestOrderingAndHash:
         assert hash(G(Fraction(1, 2))) == hash(Fraction(1, 2))
         lookup = {G(2): "two", I: "i"}
         assert lookup[G(2)] == "two"
+
+    @given(
+        x=st.one_of(
+            st.integers(),
+            st.integers(-(2**200), 2**200),
+            st.fractions(),
+            st.builds(Fraction, st.integers(-(2**200), 2**200), st.integers(1, 2**200)),
+            # denominators that are multiples of the hash modulus
+            st.builds(
+                Fraction,
+                st.integers(-(2**80), 2**80),
+                st.integers(1, 2**20).map(lambda k: k * sys.hash_info.modulus),
+            ),
+        )
+    )
+    def test_hash_of_real_values_matches_python(self, x):
+        assert hash(G(x)) == hash(x)
+
+    def test_hash_edge_cases(self):
+        modulus = sys.hash_info.modulus
+        # hash -1 is remapped to -2; a denominator divisible by the modulus
+        # hashes as +-inf
+        cases = (-1, Fraction(-1, modulus + 1), Fraction(1, modulus), Fraction(-3, 2 * modulus))
+        for x in cases:
+            assert hash(G(x)) == hash(x)
 
     def test_immutable(self):
         with pytest.raises(AttributeError):

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -24,6 +25,7 @@ from strongrev.verify import (
     classification_sweep,
     cross_path_check,
     homogeneous_det_check,
+    iter_involutive_reversers,
     iter_partitions,
     negative_one_strong_verdict,
     run_selftest,
@@ -35,6 +37,9 @@ from strongrev.verify import (
 
 G = GaussianRational
 HALF = G(Fraction(1, 2))
+
+# Denominators 1, 3 and 2 in both parts; 2i and -i/2 are inverse to each other.
+MIXED_POOL = (ONE, MINUS_ONE, G(3), G(Fraction(1, 3)), G(0, 2), G(0, Fraction(-1, 2)))
 
 
 class TestCheckWitness:
@@ -213,6 +218,45 @@ class TestSpecGenerator:
         with pytest.raises(ValueError, match="nonzero"):
             SpecGenerator(2, [ONE, ZERO])
 
+    @pytest.mark.parametrize(
+        "pool, max_block_size",
+        [
+            (DEFAULT_POOL, None),
+            (MIXED_POOL, None),
+            (DEFAULT_POOL, 2),
+            (MIXED_POOL, 2),
+        ],
+        ids=["default", "mixed", "default-max2", "mixed-max2"],
+    )
+    def test_exhaustive_yields_checked_canonical_specs_in_recursion_order(
+        self, pool, max_block_size
+    ):
+        specs = list(SpecGenerator(6, pool, max_block_size=max_block_size).specs())
+        for spec in specs:
+            assert spec == JordanSpec(spec.blocks)
+        assert specs == _recursion_specs(6, pool, max_block_size)
+
+
+def _recursion_specs(max_n, pool, max_block_size=None) -> list[JordanSpec]:
+    """Every multiset of (eigenvalue, size) items with total size <= max_n,
+    in the order of a depth-first recursion over the items in pool order,
+    each spec built and sorted by the public constructor."""
+    limit = max_n if max_block_size is None else min(max_n, max_block_size)
+    items = [(eig, size) for eig in pool for size in range(1, limit + 1)]
+    out = []
+
+    def rec(start, budget, acc):
+        for idx in range(start, len(items)):
+            size = items[idx][1]
+            if size <= budget:
+                acc.append(items[idx])
+                out.append(JordanSpec(acc))
+                rec(idx, budget - size, acc)
+                acc.pop()
+
+    rec(0, max_n, [])
+    return out
+
 
 class TestIterPartitions:
     def test_counts(self):
@@ -222,6 +266,45 @@ class TestIterPartitions:
             assert len(parts) == expected
             assert len(set(parts)) == expected
             assert all(sum(p) == n for p in parts)
+
+
+def _scale_by_scale_reversers(spec, pairing) -> list[ExactMatrix]:
+    """The involutive reverser family rebuilt for every choice of scales:
+    scales[idx] * R(lam, d) for each block idx = (lam, d), placed at
+    (idx, partner), over the +-1 signs of the singletons and the unit pairs
+    (u, 1/u) of the pairs."""
+    partner = {idx: idx for idx in pairing.singletons}
+    for i, j in pairing.pairs:
+        partner[i], partner[j] = j, i
+    starts = [sum(size for _, size in spec.blocks[:idx]) for idx in range(len(spec.blocks))]
+    scales = [ONE] * len(spec.blocks)
+    out = []
+    for signs in itertools.product((ONE, MINUS_ONE), repeat=len(pairing.singletons)):
+        for idx, sign in zip(pairing.singletons, signs):
+            scales[idx] = sign
+        for combo in itertools.product((ONE, MINUS_ONE, I, -I), repeat=len(pairing.pairs)):
+            for (i, j), u in zip(pairing.pairs, combo):
+                scales[i], scales[j] = u, u.inverse()
+            placements = [
+                (starts[idx], starts[partner[idx]], scales[idx] * jordan_reverser(eig, size))
+                for idx, (eig, size) in enumerate(spec.blocks)
+            ]
+            out.append(ExactMatrix.from_blocks(spec.n, placements))
+    return out
+
+
+def test_reverser_family_matches_scale_by_scale_construction():
+    checked = 0
+    for spec in SpecGenerator(6, DEFAULT_POOL).specs():
+        report = classify(spec)
+        if not report.reversible or report.strongly_reversible:
+            continue
+        # materialized before comparing, so a row shared between two
+        # yielded matrices would show up as a mismatch
+        family = list(iter_involutive_reversers(spec, report.pairing))
+        assert family == _scale_by_scale_reversers(spec, report.pairing)
+        checked += len(family)
+    assert checked > 0
 
 
 class TestClassificationSweep:
