@@ -116,21 +116,32 @@ class JordanSpec:
         return cls([(parse(b["eigenvalue"]), as_int(b["size"])) for b in data["blocks"]])
 
 
+def _jordan(blocks: list[tuple[tuple[int, int, int], int]]) -> ExactMatrix:
+    """Direct sum of the Jordan blocks J(lam, m) given as (triple of lam, m)
+    pairs, built in one pass over the lcm d of the eigenvalue denominators."""
+    d = math.lcm(*(e for (_, _, e), _ in blocks))
+    n = sum(size for _, size in blocks)
+    re = [[0] * n for _ in range(n)]
+    im = [[0] * n for _ in range(n)]
+    k = 0
+    for (a, b, e), size in blocks:
+        a, b = a * (d // e), b * (d // e)
+        for i in range(k, k + size):
+            re[i][i], im[i][i] = a, b
+        for i in range(k, k + size - 1):
+            re[i][i + 1] = d
+        k += size
+    return ExactMatrix.from_numerators(re, im, d)
+
+
 def jordan_block(eigenvalue, size: int) -> ExactMatrix:
     """J(lam, m): lam on the diagonal, 1 on the superdiagonal."""
-    a, b, d = as_scalar(eigenvalue).triple
-    re = [[0] * size for _ in range(size)]
-    im = [[0] * size for _ in range(size)]
-    for i in range(size):
-        re[i][i], im[i][i] = a, b
-        if i + 1 < size:
-            re[i][i + 1] = d
-    return ExactMatrix.from_numerators(re, im, d)
+    return _jordan([(as_scalar(eigenvalue).triple, size)])
 
 
 def jordan_matrix(spec: JordanSpec) -> ExactMatrix:
     """Block-diagonal Jordan matrix in the spec's canonical block order."""
-    return direct_sum([jordan_block(eig, size) for eig, size in spec.blocks])
+    return _jordan([(eig.triple, size) for eig, size in spec.blocks])
 
 
 @dataclass(frozen=True)

@@ -184,9 +184,8 @@ class ExactMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
-        return cls.from_numerators(
-            [[int(i == j) for j in range(n)] for i in range(n)], [[0] * n for _ in range(n)], 1
-        )
+        re = [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
+        return cls.from_numerators(re, [[0] * n for _ in range(n)], 1)
 
     @classmethod
     def diagonal(cls, values: Sequence) -> "ExactMatrix":
@@ -366,9 +365,7 @@ class ExactMatrix:
         return ExactMatrix.from_numerators(out_re, out_im, common)
 
     def is_identity(self) -> bool:
-        if not self.is_square():
-            return False
-        return self == ExactMatrix.identity(self.rows)
+        return self.is_square() and _identity_difference(self) is None
 
     def to_json_dict(self) -> dict:
         return {
@@ -410,6 +407,18 @@ def _fill(m: ExactMatrix, re: list[list[int]], im: list[list[int]], d: int) -> N
     set_field(m, "_re", re)
     set_field(m, "_im", im)
     set_field(m, "_d", d)
+
+
+def _identity_difference(m: ExactMatrix) -> tuple[int, int] | None:
+    """first_difference of the square m and the identity, without building
+    it: over the denominator d, the identity has d on the diagonal."""
+    d, zeros = m._d, m.cols - 1
+    for i, (row_re, row_im) in enumerate(zip(m._re, m._im)):
+        if row_re[i] != d or row_re.count(0) != zeros or any(row_im):
+            for j, (x, y) in enumerate(zip(row_re, row_im)):
+                if y or x != (d if i == j else 0):
+                    return (i, j)
+    return None
 
 
 def direct_sum(blocks: Sequence[ExactMatrix]) -> ExactMatrix:
@@ -574,7 +583,7 @@ def check_witness(a: ExactMatrix, g: ExactMatrix) -> VerificationReport:
         if not reverses:
             i, j = (ga * g.inverse()).first_difference(a.inverse())
             residuals.append(("reverses", (i + 1, j + 1)))
-    pos = (g * g).first_difference(ExactMatrix.identity(g.rows))
+    pos = _identity_difference(g * g)
     involution = pos is None
     if pos is not None:
         residuals.append(("involution", (pos[0] + 1, pos[1] + 1)))

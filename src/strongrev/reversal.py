@@ -288,63 +288,82 @@ class WitnessBundle:
         return self.report.determinant
 
 
-def pair_blocks(spec: JordanSpec) -> ReversibilityReport:
-    """Greedy exact matching of (lam, r) blocks with (1/lam, r) blocks.
+def _frozen(cls, **fields):
+    """cls(**fields) for a frozen dataclass, without an object.__setattr__ per field."""
+    report = object.__new__(cls)
+    report.__dict__.update(fields)
+    return report
 
-    Blocks with eigenvalue +-1 stand alone; everything else needs a partner
-    of the same size at the inverse eigenvalue.  Ties among equal blocks are
-    broken by spec order.
+
+def pair_blocks(spec: JordanSpec) -> ReversibilityReport:
+    """The block pairing of :func:`classify`."""
+    return classify(spec).pairing
+
+
+def classify(spec: JordanSpec) -> StrongReversibilityReport:
+    """Decide reversibility and strong reversibility of the spec in SL(n).
+
+    One walk over the blocks pairs each (lam, r) block greedily with a
+    (1/lam, r) block, ties broken by spec order, and collects the sizes of
+    the +-1 blocks, which stand alone.  It reads each eigenvalue's triple
+    once per run of equal eigenvalues.
     """
-    # Keyed on normalized triples, which are equal exactly when the values are.
+    blocks = spec.blocks
+    pairs, singletons, plus, minus = [], [], [], []
+    # Unpaired blocks by (normalized triple, size).
     waiting: dict[tuple[tuple[int, int, int], int], list[int]] = {}
-    inverses: dict[tuple[int, int, int], tuple[int, int, int]] = {}
-    pairs: list[tuple[int, int]] = []
-    singletons: list[int] = []
-    for idx, (eig, size) in enumerate(spec.blocks):
-        triple = eig.triple
-        if triple == _ONE or triple == _MINUS_ONE:
+    odd = singly_even = rest = 0
+    run = triple = None
+    for idx, (eig, size) in enumerate(blocks):
+        if eig is not run and (new := eig.triple) != triple:
+            run, triple = eig, new
+            unit = plus if triple == _ONE else minus if triple == _MINUS_ONE else None
+            inverse = None if unit is not None else inverse_triple(*triple)
+        if unit is not None:
             singletons.append(idx)
+            unit.append(size)
+            odd += size % 2
+            singly_even += size % 4 == 2
             continue
-        inverse = inverses.get(triple)
-        if inverse is None:
-            inverse = inverses[triple] = inverse_triple(*triple)
+        rest += size
         queue = waiting.get((inverse, size))
         if queue:
             pairs.append((queue.pop(0), idx))
         else:
             waiting.setdefault((triple, size), []).append(idx)
     leftover = [idx for queue in waiting.values() for idx in queue]
-    if leftover:
-        witness_idx = min(leftover)
-        return ReversibilityReport(
-            False, tuple(pairs), tuple(singletons), spec.blocks[witness_idx]
-        )
-    return ReversibilityReport(True, tuple(pairs), tuple(singletons), None)
-
-
-def classify(spec: JordanSpec) -> StrongReversibilityReport:
-    """Decide reversibility and strong reversibility of the spec in SL(n)."""
-    pairing = pair_blocks(spec)
-    units = [spec.blocks[idx] for idx in pairing.singletons]  # the +-1 blocks
-    plus = tuple(size for eig, size in units if eig.triple == _ONE)
-    minus = tuple(size for eig, size in units if eig.triple != _ONE)
-    odd_present = any(size % 2 for _, size in units)
-    rest = spec.n - sum(plus) - sum(minus)
-    if pairing.reversible and rest % 2 != 0:
+    reversible = not leftover
+    if reversible and rest % 2 != 0:
         raise RuntimeError("internal error: paired blocks cover an odd dimension")
-    parity_value = sum(size % 4 == 2 for _, size in units) + rest // 2
+    parity_value = singly_even + rest // 2
     parity_even = parity_value % 2 == 0
-    strongly = pairing.reversible and (odd_present or parity_even)
-    return StrongReversibilityReport(
-        reversible=pairing.reversible,
-        strongly_reversible=strongly,
-        plus_sizes=plus,
-        minus_sizes=minus,
-        odd_block_present=odd_present,
+    pairing = _frozen(
+        ReversibilityReport,
+        reversible=reversible,
+        pairs=tuple(pairs),
+        singletons=tuple(singletons),
+        failure_witness=blocks[min(leftover)] if leftover else None,
+    )
+    return _frozen(
+        StrongReversibilityReport,
+        reversible=reversible,
+        strongly_reversible=reversible and (odd > 0 or parity_even),
+        plus_sizes=tuple(plus),
+        minus_sizes=tuple(minus),
+        odd_block_present=odd > 0,
         parity_value=parity_value,
         parity_even=parity_even,
         pairing=pairing,
     )
+
+
+def _det_sign(spec: JordanSpec, report: StrongReversibilityReport) -> DetSignPrediction:
+    """involution_det_sign given report = classify(spec)."""
+    if not report.reversible:
+        raise NotReversibleError(f"spec is not reversible: {spec!r}")
+    if report.odd_block_present:
+        return DetSignPrediction(free=True, sign=None)
+    return DetSignPrediction(free=False, sign=1 if report.parity_even else -1)
 
 
 def involution_det_sign(spec: JordanSpec) -> DetSignPrediction:
@@ -353,12 +372,7 @@ def involution_det_sign(spec: JordanSpec) -> DetSignPrediction:
     With an odd block at eigenvalue +-1 both signs occur; otherwise the
     determinant is pinned to (-1)**parity_value.
     """
-    report = classify(spec)
-    if not report.reversible:
-        raise NotReversibleError(f"spec is not reversible: {spec!r}")
-    if report.odd_block_present:
-        return DetSignPrediction(free=True, sign=None)
-    return DetSignPrediction(free=False, sign=1 if report.parity_even else -1)
+    return _det_sign(spec, classify(spec))
 
 
 def block_reversers(spec: JordanSpec) -> list[ExactMatrix]:
@@ -434,11 +448,13 @@ def involutive_witness(spec: JordanSpec) -> WitnessBundle:
     forced product is -1 one odd block is flipped, and the classifier
     guarantees such a block exists whenever the spec is strongly reversible.
     """
-    report = classify(spec)
-    if not report.reversible:
-        raise NotReversibleError(f"spec is not reversible: {spec!r}")
+    return _involutive_witness(spec, classify(spec))
+
+
+def _involutive_witness(spec: JordanSpec, report: StrongReversibilityReport) -> WitnessBundle:
+    """involutive_witness given report = classify(spec)."""
     if not report.strongly_reversible:
-        raise NotStronglyReversibleError(involution_det_sign(spec))
+        raise NotStronglyReversibleError(_det_sign(spec, report))
     pairing = report.pairing
     transcript: list[str] = []
     scales = [ONE] * len(spec.blocks)
@@ -491,7 +507,7 @@ def sl_reverser_witness(spec: JordanSpec) -> WitnessBundle:
     if not report.reversible:
         raise NotReversibleError(f"spec is not reversible: {spec!r}")
     if report.strongly_reversible:
-        bundle = involutive_witness(spec)
+        bundle = _involutive_witness(spec, report)
         return replace(
             bundle,
             transcript=bundle.transcript + ("strongly reversible: involutive witness reused",),

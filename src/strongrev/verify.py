@@ -45,6 +45,7 @@ __all__ = [
     "iter_involutive_reversers",
     "iter_partitions",
     "classification_sweep",
+    "class_counts",
     "homogeneous_det_check",
     "semisimple_cross_check",
     "cross_path_check",
@@ -204,7 +205,8 @@ def classification_sweep(gen: SpecGenerator) -> dict:
     involutive reverser obeys exactly.
 
     Only ``gen.specs()`` is read, so any object with that method can feed
-    the sweep, and every spec it yields is counted."""
+    the sweep, and every spec it yields is counted.  Each spec is classified
+    once, and its witness or prediction is built from that report."""
     summary = _new_summary("classification_sweep")
     summary.update(
         not_reversible=0,
@@ -213,6 +215,10 @@ def classification_sweep(gen: SpecGenerator) -> dict:
         witnesses_verified=0,
         involutive_reversers_checked=0,
     )
+
+    def fail(problem: str, **extra) -> None:  # a failure of the current spec
+        _fail(summary, spec=spec.to_json_dict(), problem=problem, **extra)
+
     for spec in gen.specs():
         summary["cases"] += 1
         try:
@@ -222,48 +228,92 @@ def classification_sweep(gen: SpecGenerator) -> dict:
                 continue
             if report.strongly_reversible:
                 summary["strongly_reversible"] += 1
-                vr = reversal.involutive_witness(spec).report
+                vr = reversal._involutive_witness(spec, report).report
                 if not vr.all_good():
-                    _fail(
-                        summary,
-                        spec=spec.to_json_dict(),
-                        problem="witness failed verification",
-                        report=vr.to_json_dict(),
-                    )
+                    fail("witness failed verification", report=vr.to_json_dict())
                 else:
                     summary["witnesses_verified"] += 1
             else:
                 summary["reversible_only"] += 1
-                prediction = reversal.involution_det_sign(spec)
+                prediction = reversal._det_sign(spec, report)
                 if prediction.free or prediction.sign != -1:
-                    _fail(
-                        summary,
-                        spec=spec.to_json_dict(),
-                        problem=f"expected Forced(-1), got {prediction}",
-                    )
+                    fail(f"expected Forced(-1), got {prediction}")
                     continue
                 a = jordan_matrix(spec)
                 for g in iter_involutive_reversers(spec, report.pairing):
                     summary["involutive_reversers_checked"] += 1
                     vr = check_witness(a, g)
                     if not (vr.reverses and vr.involution):
-                        _fail(
-                            summary,
-                            spec=spec.to_json_dict(),
-                            problem="harness reverser failed basic checks",
-                            report=vr.to_json_dict(),
-                        )
+                        fail("harness reverser failed basic checks", report=vr.to_json_dict())
                         break
                     if vr.determinant != MINUS_ONE:
-                        _fail(
-                            summary,
-                            spec=spec.to_json_dict(),
-                            problem=f"involutive reverser with det {vr.determinant}",
-                        )
+                        fail(f"involutive reverser with det {vr.determinant}")
                         break
         except Exception as exc:  # a crash is a failure, not an abort
-            _fail(summary, spec=spec.to_json_dict(), problem=repr(exc))
+            fail(repr(exc))
     return summary
+
+
+def _graded_partitions(n: int, parts: Sequence[tuple[int, bool]]) -> list[list[int]]:
+    """[even, odd] counts of the partitions of 0..n into the given part
+    sizes, split by the parity of the number of parts whose flag is set."""
+    series = [[1, 0]] + [[0, 0] for _ in range(n)]
+    for size, flag in parts:
+        for m in range(size, n + 1):
+            even, odd = series[m - size]
+            series[m][flag] += even
+            series[m][not flag] += odd
+    return series
+
+
+def _graded_product(n: int, factors: list[list[list[int]]]) -> list[list[int]]:
+    """Product of parity-graded series up to x^n; the parities add."""
+    out = [[1, 0]] + [[0, 0] for _ in range(n)]
+    for factor in factors:
+        prod = [[0, 0] for _ in out]
+        for i, (a0, a1) in enumerate(out):
+            for j, (b0, b1) in enumerate(factor[: n + 1 - i]):
+                prod[i + j][0] += a0 * b0 + a1 * b1
+                prod[i + j][1] += a0 * b1 + a1 * b0
+        out = prod
+    return out
+
+
+def class_counts(max_n: int, pool: Sequence) -> dict[str, int]:
+    """Verdict tallies over every spec of total size 1..max_n with
+    eigenvalues from the inversion-closed pool, counted from partitions
+    alone, without building or classifying a spec.
+
+    With s values +-1 and t pairs {lam, 1/lam} in the pool, a reversible
+    spec is a partition at each +-1 and one partition of some j for each
+    pair, used at lam and at 1/lam (size 2j).  It is reversible-only when
+    no +-1 part is odd and its parity value, the number of +-1 parts that
+    are 2 mod 4 plus the j of every pair, is odd.
+    """
+    pool = [as_scalar(v) for v in pool]
+    units = [v for v in pool if v == ONE or v == MINUS_ONE]
+    others = [v for v in pool if v != ONE and v != MINUS_ONE]
+    if any(v.inverse() not in others for v in others):
+        raise ValueError("pool must be closed under inversion")
+    s, t, n = len(units), len(others) // 2, max_n
+    plain = _graded_partitions(n, [(k, False) for k in range(1, n + 1)])
+    even = _graded_partitions(n, [(k, k % 4 == 2) for k in range(2, n + 1, 2)])
+    shared = [[0, 0] for _ in range(n + 1)]
+    for j in range(n // 2 + 1):
+        shared[2 * j][j % 2] = plain[j][0]
+    unsigned = [[sum(c), 0] for c in shared]
+    everything = _graded_product(n, [plain] * len(pool))
+    reversible = _graded_product(n, [plain] * s + [unsigned] * t)
+    only = _graded_product(n, [even] * s + [shared] * t)
+    total = sum(c[0] for c in everything[1:])
+    rev = sum(c[0] for c in reversible[1:])
+    odd = sum(c[1] for c in only[1:])
+    return {
+        "cases": total,
+        "not_reversible": total - rev,
+        "strongly_reversible": rev - odd,
+        "reversible_only": odd,
+    }
 
 
 def _random_matrix(rows: int, cols: int, rng: random.Random) -> ExactMatrix:
@@ -599,14 +649,19 @@ def suite_reverser_laws(seed: int = 0) -> dict:
 def run_selftest(max_n: int = 6, seed: int = 0) -> dict:
     """Run every invariant suite plus the classification sweeps over
     DEFAULT_POOL; the result has total_failures == 0 exactly when everything
-    holds."""
+    holds, the sweep's verdict tallies equalling class_counts included."""
+    sweep = classification_sweep(SpecGenerator(max_n, DEFAULT_POOL))
+    expected = class_counts(max_n, DEFAULT_POOL)
+    tallies = {key: sweep[key] for key in expected}
+    if tallies != expected:
+        _fail(sweep, problem=f"verdict tallies {tallies}, class counts {expected}")
     suites = [
         suite_scalar_laws(seed),
         suite_matrix_laws(seed + 1),
         suite_partition_laws(seed + 2),
         suite_canonical_laws(seed + 3),
         suite_reverser_laws(seed + 4),
-        classification_sweep(SpecGenerator(max_n, DEFAULT_POOL)),
+        sweep,
         semisimple_cross_check(SpecGenerator(max_n, DEFAULT_POOL, max_block_size=1)),
         cross_path_check(max_n),
     ]

@@ -15,7 +15,7 @@ from strongrev.canonical import (
     sample_centralizer,
     weyr_form,
 )
-from strongrev.matrices import ExactMatrix
+from strongrev.matrices import ExactMatrix, direct_sum
 from strongrev.partitions import Partition
 from strongrev.scalars import GaussianRational, ONE, ZERO
 
@@ -162,6 +162,12 @@ class TestJordanMatrix:
     def test_structure_442(self):
         spec = JordanSpec([(G(1), 4), (G(1), 4), (G(1), 2)])
         assert jordan_matrix(spec) == JORDAN_442
+
+    @given(st.lists(st.tuples(EIGENVALUES, st.integers(1, 3)), min_size=1, max_size=5))
+    def test_equals_direct_sum_of_blocks(self, blocks):
+        spec = JordanSpec(blocks)
+        expected = direct_sum([jordan_block(eig, size) for eig, size in spec.blocks])
+        assert jordan_matrix(spec) == expected
 
 
 class TestBasicWeyrMatrix:

@@ -1,8 +1,14 @@
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oracles import reference_parse
 from strongrev.cli import MAX_DIMENSION, MAX_SELFTEST_N, main
 from strongrev.canonical import JordanSpec, jordan_matrix
 from strongrev.matrices import ExactMatrix
@@ -394,3 +400,114 @@ class TestModuleExecution:
         )
         assert result.returncode == 1
         assert "strongly reversible: no" in result.stdout
+
+
+# ---------------------------------------------------------------- malformed
+
+NON_INT_SCALARS = st.none() | st.booleans() | st.floats() | st.text(max_size=8)
+JSON_SCALARS = NON_INT_SCALARS | st.integers(-(10**6), 10**6)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+JSON_LISTS = st.lists(JSON_VALUES, max_size=3)
+JSON_DICTS = st.dictionaries(st.text(max_size=6), JSON_VALUES, max_size=3)
+NOT_DICT = JSON_SCALARS | JSON_LISTS
+NOT_LIST = JSON_SCALARS | JSON_DICTS
+NOT_INT = NON_INT_SCALARS | JSON_LISTS | JSON_DICTS
+NOT_STR = st.none() | st.booleans() | st.floats() | st.integers(-(10**6), 10**6) | JSON_LISTS | JSON_DICTS
+
+
+def _not_a_scalar(text: str) -> bool:
+    try:
+        return not reference_parse(text)
+    except ValueError:
+        return True
+
+
+GOOD_SCALARS = st.sampled_from(["1", "-1", "2", "1/2", "i", "-i", "3-2/5i"])
+BAD_SCALARS = st.text(alphabet="0123456789+-/i .e", max_size=8).filter(_not_a_scalar) | NOT_STR
+
+
+GOOD_BLOCKS = st.fixed_dictionaries({"eigenvalue": GOOD_SCALARS, "size": st.integers(1, 4)})
+BAD_BLOCKS = st.one_of(
+    NOT_DICT,
+    st.fixed_dictionaries({"eigenvalue": GOOD_SCALARS}),
+    st.fixed_dictionaries({"size": st.integers(1, 4)}),
+    st.fixed_dictionaries({"eigenvalue": BAD_SCALARS, "size": st.integers(1, 4)}),
+    st.fixed_dictionaries({"eigenvalue": GOOD_SCALARS, "size": NOT_INT | st.integers(-(10**6), 0)}),
+)
+MALFORMED_SPECS = st.one_of(
+    NOT_DICT,
+    st.dictionaries(st.text(max_size=6).filter(lambda k: k != "blocks"), JSON_VALUES, max_size=3),
+    st.fixed_dictionaries({"blocks": NOT_LIST}),
+    st.builds(
+        lambda before, bad, after: {"blocks": before + [bad] + after},
+        st.lists(GOOD_BLOCKS, max_size=2),
+        BAD_BLOCKS,
+        st.lists(GOOD_BLOCKS, max_size=2),
+    ),
+    st.just({"blocks": []}),
+)
+
+
+@st.composite
+def malformed_matrices(draw):
+    """Matrix JSON with exactly one kind of defect."""
+    n = draw(st.integers(1, 3))
+    good = {"rows": n, "cols": n, "entries": [[draw(GOOD_SCALARS) for _ in range(n)] for _ in range(n)]}
+    defect = draw(st.sampled_from(["shape", "missing", "count", "big", "entries", "row", "entry"]))
+    if defect == "shape":
+        return draw(NOT_DICT)
+    if defect == "missing":
+        del good[draw(st.sampled_from(sorted(good)))]
+    elif defect == "count":
+        good[draw(st.sampled_from(["rows", "cols"]))] = draw(
+            NOT_INT | st.integers(-(10**6), 10**6).filter(lambda k: k != n)
+        )
+    elif defect == "big":
+        good[draw(st.sampled_from(["rows", "cols"]))] = draw(st.integers(MAX_DIMENSION + 1, 10**9))
+    elif defect == "entries":
+        good["entries"] = draw(NOT_LIST | JSON_LISTS.filter(lambda v: len(v) != n))
+    elif defect == "row":
+        good["entries"][draw(st.integers(0, n - 1))] = draw(
+            NOT_LIST | JSON_LISTS.filter(lambda v: len(v) != n)
+        )
+    else:
+        good["entries"][draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(BAD_SCALARS)
+    return good
+
+
+def _refused(argv, files: dict) -> None:
+    """Run main on argv with the named JSON files written to a fresh
+    directory; it must refuse with exit 3, one error line and no stdout."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, payload in files.items():
+            (Path(tmp) / name).write_text(json.dumps(payload))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([Path(tmp, a).as_posix() if a in files else a for a in argv])
+    assert code == 3, (code, err.getvalue())
+    assert out.getvalue() == ""
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+class TestMalformedInputProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        spec=MALFORMED_SPECS,
+        command=st.sampled_from(["classify", "witness", "weyr"]),
+        fmt=st.sampled_from(["json", "text"]),
+    )
+    def test_malformed_spec_exits_3(self, spec, command, fmt):
+        _refused([command, "--input", "spec.json", "--format", fmt], {"spec.json": spec})
+
+    @settings(max_examples=60, deadline=None)
+    @given(matrix=malformed_matrices(), bad_first=st.booleans(), fmt=st.sampled_from(["json", "text"]))
+    def test_malformed_matrix_exits_3(self, matrix, bad_first, fmt):
+        good = ExactMatrix.identity(2).to_json_dict()
+        a, g = (matrix, good) if bad_first else (good, matrix)
+        argv = ["verify", "--matrix-a", "a.json", "--matrix-g", "g.json", "--format", fmt]
+        _refused(argv, {"a.json": a, "g.json": g})

@@ -54,6 +54,38 @@ class TestMultiplication:
         assert G(0, 1) * m == ExactMatrix([[G(0, 1), G(0, 2)], [G(0, 3), G(0, 4)]])
 
 
+class TestIsIdentity:
+    def test_identity_fields(self):
+        for n in (1, 2, 5):
+            eye = ExactMatrix.identity(n)
+            assert eye == ExactMatrix([[int(i == j) for j in range(n)] for i in range(n)])
+            assert eye.is_identity()
+
+    def test_one_by_one(self):
+        assert ExactMatrix([[1]]).is_identity()
+        for value in (-1, 2, G(0, 1), G(Fraction(1, 2)), 0):
+            assert not ExactMatrix([[value]]).is_identity()
+
+    def test_non_square_is_not_identity(self):
+        assert not ExactMatrix([[1, 0]]).is_identity()
+        assert not ExactMatrix([[1], [0]]).is_identity()
+        assert not ExactMatrix([[1, 0, 0], [0, 1, 0]]).is_identity()
+
+    def test_normalized_numerators(self):
+        # 2I/2 is stored as I; a matrix over a denominator is not
+        assert ExactMatrix.from_numerators([[2, 0], [0, 2]], [[0, 0], [0, 0]], 2).is_identity()
+        half = G(Fraction(1, 2))
+        assert not ExactMatrix([[1, half], [0, 1]]).is_identity()
+        assert not ExactMatrix([[1, 0], [0, half]]).is_identity()
+
+    def test_misses_in_every_position(self):
+        for i, j in itertools.product(range(3), repeat=2):
+            for value in (G(0, 1), G(Fraction(1, 3)), G(1, 1)):
+                rows = [[int(r == c) for c in range(3)] for r in range(3)]
+                rows[i][j] = value if i != j else rows[i][j] + value
+                assert not ExactMatrix(rows).is_identity()
+
+
 class TestInverse:
     def test_jordan_block_inverse_closed_form(self):
         # entry (i, j) of J(lam, 4)^-1 is (-1)^(j-i) lam^-(j-i+1) for j >= i

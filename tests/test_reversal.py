@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from strongrev.reversal import (
     NotReversibleError,
     NotStronglyReversibleError,
     ReversibilityReport,
+    StrongReversibilityReport,
     classify,
     involution_det_sign,
     involution_reverser,
@@ -295,7 +297,42 @@ class TestPairBlocks:
         assert report.reversible and len(report.pairs) == 2
 
 
+def reference_classify(spec):
+    """classify restated on reference_pair_blocks, with == on values."""
+    pairing = reference_pair_blocks(spec)
+    plus = tuple(size for eig, size in spec.blocks if eig == ONE)
+    minus = tuple(size for eig, size in spec.blocks if eig == MINUS_ONE)
+    odd = any(size % 2 for size in plus + minus)
+    parity_value = sum(size % 4 == 2 for size in plus + minus) + (spec.n - sum(plus + minus)) // 2
+    return StrongReversibilityReport(
+        reversible=pairing.reversible,
+        strongly_reversible=pairing.reversible and (odd or parity_value % 2 == 0),
+        plus_sizes=plus,
+        minus_sizes=minus,
+        odd_block_present=odd,
+        parity_value=parity_value,
+        parity_even=parity_value % 2 == 0,
+        pairing=pairing,
+    )
+
+
 class TestClassify:
+    @given(PAIRING_BLOCKS, st.randoms(use_true_random=False))
+    def test_matches_reference_on_separate_equal_eigenvalues(self, blocks, rnd):
+        # every block gets its own eigenvalue object, so runs of equal
+        # eigenvalues are found by value, not by identity
+        rnd.shuffle(blocks)
+        spec = JordanSpec((G(eig.re, eig.im), size) for eig, size in blocks)
+        report = classify(spec)
+        assert report == reference_classify(spec)
+        assert hash(report) == hash(reference_classify(spec))
+
+    def test_reports_are_frozen(self):
+        report = classify(spec_of((1, 2), (2, 1), (HALF, 1)))
+        for target, name in ((report, "parity_value"), (report.pairing, "pairs")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(target, name, None)
+
     def test_three_doubled_unipotent_blocks(self):
         report = classify(spec_of((1, 2), (1, 2), (1, 2)))
         assert report.reversible and not report.strongly_reversible

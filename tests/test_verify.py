@@ -9,6 +9,7 @@ import pytest
 
 from oracles import class_counts
 import strongrev.reversal as reversal_module
+import strongrev.verify as verify_module
 from strongrev.canonical import JordanSpec, jordan_block, jordan_matrix
 from strongrev.matrices import ExactMatrix, SingularMatrixError, direct_sum
 from strongrev.reversal import (
@@ -90,6 +91,58 @@ class TestCheckWitness:
         report = check_witness(a, g)
         assert report.reverses
         assert not report.involution
+
+
+class TestInvolutionResiduals:
+    """g*g is compared with the identity entry by entry; a miss reports the
+    first differing position, 1-based, row by row."""
+
+    @staticmethod
+    def residuals(a, g):
+        return check_witness(ExactMatrix(a), ExactMatrix(g)).residuals
+
+    def test_twice_the_identity(self):
+        report = check_witness(ExactMatrix.identity(2), ExactMatrix([[2, 0], [0, 2]]))
+        assert report.reverses and not report.involution
+        assert report.residuals == (("involution", (1, 1)),)
+        assert report.determinant == G(4) and not report.in_special
+
+    def test_square_with_a_denominator(self):
+        # g*g = [[1, 2/3], [0, 1]]: over the denominator 3 the diagonal
+        # numerators are 3, so the first miss is off the diagonal
+        third = G(Fraction(1, 3))
+        assert self.residuals([[1, 0], [0, 1]], [[1, third], [0, 1]]) == (("involution", (1, 2)),)
+        # g*g = diag(1, 1/4) misses on the diagonal, in the second row
+        assert self.residuals([[1, 0], [0, 1]], [[1, 0], [0, HALF]]) == (("involution", (2, 2)),)
+        # a reverser of J(1, 2) that squares to I/4
+        a = jordan_block(ONE, 2)
+        g = ExactMatrix([[HALF, 1], [0, -HALF]])
+        report = check_witness(a, g)
+        assert report.reverses and report.residuals == (("involution", (1, 1)),)
+
+    def test_square_with_a_denominator_that_is_the_identity(self):
+        # [[1, 1/2], [0, -1]] squares to the identity through cancellation
+        assert self.residuals([[1, 0], [0, 1]], [[1, HALF], [0, -1]]) == ()
+
+    def test_complex_off_diagonal_miss(self):
+        # g*g = [[1, 0, 0], [0, 1, 2i], [0, 0, 1]]: the real parts agree, the
+        # imaginary part of entry (2, 3) does not
+        g = [[1, 0, 0], [0, 1, I], [0, 0, 1]]
+        assert self.residuals([[1, 0, 0], [0, 1, 0], [0, 0, 1]], g)[-1] == ("involution", (2, 3))
+        # g*g = -I through complex entries
+        assert self.residuals([[1, 0], [0, 1]], [[0, I], [I, 0]])[-1] == ("involution", (1, 1))
+        # g*g = I through complex entries
+        assert self.residuals([[1, 0], [0, 1]], [[0, I], [-I, 0]]) == ()
+
+    def test_one_by_one(self):
+        report = check_witness(ExactMatrix([[1]]), ExactMatrix([[-1]]))
+        assert report.reverses and report.involution and report.determinant == MINUS_ONE
+        assert self.residuals([[1]], [[I]]) == (("involution", (1, 1)),)
+        assert self.residuals([[2]], [[1]]) == (("reverses", (1, 1)),)
+        assert self.residuals([[HALF]], [[HALF]]) == (
+            ("reverses", (1, 1)),
+            ("involution", (1, 1)),
+        )
 
 
 class TestBundlesReverify:
@@ -357,6 +410,31 @@ class TestClassificationSweep:
         assert summary["failures"]
 
 
+class TestClassCounts:
+    @pytest.mark.parametrize("pool", [DEFAULT_POOL, MIXED_POOL], ids=["default", "mixed"])
+    def test_matches_generating_function_oracle(self, pool):
+        for n in range(17):
+            assert verify_module.class_counts(n, pool) == class_counts(n, pool)
+
+    def test_refuses_a_pool_not_closed_under_inversion(self):
+        with pytest.raises(ValueError, match="closed under inversion"):
+            verify_module.class_counts(4, (ONE, G(2)))
+
+    def test_selftest_flags_tallies_that_differ_from_the_count(self, monkeypatch):
+        real = verify_module.class_counts
+
+        def off_by_one(max_n, pool):
+            counts = real(max_n, pool)
+            counts["reversible_only"] += 1
+            return counts
+
+        monkeypatch.setattr(verify_module, "class_counts", off_by_one)
+        summary = run_selftest(max_n=2, seed=0)
+        sweep = next(s for s in summary["suites"] if s["name"] == "classification_sweep")
+        assert summary["total_failures"] == 1
+        assert "class counts" in sweep["failures"][0]["problem"]
+
+
 class TestHomogeneousDetCheck:
     def test_three_blocks_of_two(self):
         summary = homogeneous_det_check(3, 1, trials=10, seed=1)
@@ -474,3 +552,54 @@ def test_sweep_specs_and_reports_are_byte_identical():
         digest.update(b"\n")
     assert count == 10228
     assert digest.hexdigest() == SWEEP_7_DIGEST
+
+
+def test_sweep_classifies_each_spec_once(monkeypatch):
+    calls = 0
+    real = reversal_module.classify
+
+    def counting(spec):
+        nonlocal calls
+        calls += 1
+        return real(spec)
+
+    monkeypatch.setattr(reversal_module, "classify", counting)
+    summary = classification_sweep(SpecGenerator(6, DEFAULT_POOL))
+    assert summary["failures"] == []
+    assert calls == summary["cases"]
+
+
+def _bundle_record(construct, spec) -> list:
+    try:
+        bundle = construct(spec)
+    except (reversal_module.NotReversibleError, reversal_module.NotStronglyReversibleError) as exc:
+        return [type(exc).__name__, str(exc)]
+    return [
+        bundle.a.to_json_dict(),
+        bundle.g.to_json_dict(),
+        bundle.report.to_json_dict(),
+        list(bundle.transcript),
+    ]
+
+
+# SHA-256 over both witness constructors' bundles (or refusals) for every
+# reversible spec of SpecGenerator(6, DEFAULT_POOL), recorded before the
+# sweep handed its classification to the constructors.
+WITNESS_6_DIGEST = "c98fbec0808ca9a53efd25a7995761d5f161bcba92b69c5f3c14153e58a4fee2"
+
+
+def test_witness_bundles_are_byte_identical():
+    digest = hashlib.sha256()
+    count = 0
+    for spec in SpecGenerator(6, DEFAULT_POOL).specs():
+        if not classify(spec).reversible:
+            continue
+        count += 1
+        record = [spec.to_json_dict()] + [
+            _bundle_record(construct, spec)
+            for construct in (involutive_witness, sl_reverser_witness)
+        ]
+        digest.update(json.dumps(record, sort_keys=True).encode())
+        digest.update(b"\n")
+    assert count > 0
+    assert digest.hexdigest() == WITNESS_6_DIGEST
