@@ -37,12 +37,26 @@ class CliInputError(Exception):
     """Unreadable or invalid input file."""
 
 
+def _unique_keys(pairs: list) -> dict:
+    """object_pairs_hook that refuses a key given twice in one object."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"duplicate key {json.dumps(key)}")
+            seen.add(key)
+    return obj
+
+
 def _load_json(path: str):
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
     except (OSError, ValueError) as exc:  # ValueError covers JSON and text decode errors
         raise CliInputError(f"{path}: {exc}") from exc
+    except RecursionError:
+        raise CliInputError(f"{path}: JSON nested too deeply") from None
 
 
 def _load_spec(path: str) -> JordanSpec:
@@ -65,6 +79,53 @@ def _load_matrix(path: str) -> ExactMatrix:
         return ExactMatrix.from_json_dict(data)
     except (KeyError, TypeError, ValueError, ScalarParseError) as exc:
         raise CliInputError(f"{path}: invalid matrix: {exc}") from exc
+
+
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _write(value, newline: str, out: list) -> None:
+    """Append the text of value to out, laid out as json.dumps(value,
+    indent=2) lays it out at the depth whose line break is newline."""
+    if isinstance(value, str):
+        out.append(_quote(value))
+        return
+    if not value or not isinstance(value, (dict, list, tuple)):
+        out.append(json.dumps(value))
+        return
+    inner = newline + "  "
+    if isinstance(value, dict):
+        sep = "{" + inner
+        for key, item in value.items():
+            out.append(sep + _quote(key) + ": ")
+            _write(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif all(type(item) is str for item in value):
+        # One join per list; when quoting all the text at once escapes
+        # nothing, no item needs quoting on its own either.
+        flat = "".join(value)
+        if len(_quote(flat)) == len(flat) + 2:
+            items = '"' + ('",' + inner + '"').join(value) + '"'
+        else:
+            items = ("," + inner).join(map(_quote, value))
+        out.append("[" + inner + items + newline + "]")
+    else:
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+
+
+def _json_text(payload) -> str:
+    """json.dumps(payload, indent=2), byte for byte.  With indent set,
+    json.dumps runs its pure-Python encoder; this writer quotes strings with
+    the C quoting function and writes a list of strings in one join."""
+    out: list = []
+    _write(payload, "\n", out)
+    return "".join(out)
 
 
 def _block_json(block) -> dict:
@@ -332,7 +393,7 @@ def main(argv=None) -> int:
     try:
         payload, code = args.func(args)
         if payload is not None:
-            print(json.dumps(payload, indent=2) if args.format == "json" else args.render(payload))
+            print(_json_text(payload) if args.format == "json" else args.render(payload))
         return code
     except CliInputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import reference_parse
-from strongrev.cli import MAX_DIMENSION, MAX_SELFTEST_N, main
+from strongrev.cli import MAX_DIMENSION, MAX_SELFTEST_N, _json_text, main
 from strongrev.canonical import JordanSpec, jordan_matrix
 from strongrev.matrices import ExactMatrix
 from strongrev.scalars import GaussianRational
@@ -381,6 +382,83 @@ class TestExitCodes:
         assert captured.err == "internal error: RuntimeError('renderer broke')\n"
 
 
+class TestJsonReader:
+    """Input JSON that the decoder would take is still refused when it is
+    nested too deeply or repeats a key: exit 3, one error line, no stdout."""
+
+    def assert_refused(self, argv, capsys, message):
+        assert main(argv + ["--format", "json"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert message in captured.err
+
+    def every_input(self, tmp_path, bad):
+        good = matrix_file(tmp_path, ExactMatrix.identity(1), "good.json")
+        return [
+            ["classify", "--input", bad],
+            ["witness", "--input", bad],
+            ["weyr", "--input", bad],
+            ["verify", "--matrix-a", bad, "--matrix-g", good],
+            ["verify", "--matrix-a", good, "--matrix-g", bad],
+        ]
+
+    def test_deep_nesting_exits_3(self, tmp_path, capsys):
+        bad = tmp_path / "deep.json"
+        bad.write_text("[" * 100_000 + "]" * 100_000)
+        for argv in self.every_input(tmp_path, str(bad)):
+            self.assert_refused(argv, capsys, f"{bad}: JSON nested too deeply")
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"blocks": [{"eigenvalue": "1", "size": 2}], "blocks": []}', "blocks"),
+            ('{"blocks": [{"eigenvalue": "1", "size": 2, "size": 3}]}', "size"),
+        ],
+        ids=["top-level", "in-block"],
+    )
+    def test_duplicate_key_in_spec_exits_3(self, tmp_path, capsys, text, key):
+        bad = tmp_path / "dup.json"
+        bad.write_text(text)
+        for command in ("classify", "witness", "weyr"):
+            self.assert_refused([command, "--input", str(bad)], capsys, f'duplicate key "{key}"')
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"rows": 1, "cols": 1, "entries": [["1"]], "rows": 1}', "rows"),
+            ('{"rows": 1, "cols": 1, "entries": [["2"]], "entries": [["1"]]}', "entries"),
+        ],
+        ids=["rows", "entries"],
+    )
+    def test_duplicate_key_in_matrix_exits_3(self, tmp_path, capsys, text, key):
+        bad = tmp_path / "dup.json"
+        bad.write_text(text)
+        for argv in self.every_input(tmp_path, str(bad))[3:]:
+            self.assert_refused(argv, capsys, f'duplicate key "{key}"')
+
+
+class TestJsonWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(tree=st.recursive(
+        st.none()
+        | st.booleans()
+        | st.integers()
+        | st.integers(-(10**80), 10**80)
+        | st.floats()
+        | st.sampled_from([math.nan, math.inf, -math.inf, -0.0])
+        | st.text(max_size=8)
+        | st.sampled_from(['"', "\\", '\\"', "\x00\x1f\n\t", "é", " ", "\U0001f600"]),
+        lambda inner: st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(st.text(max_size=6), inner, max_size=4)
+        | st.lists(st.text(max_size=6) | st.sampled_from(['"', "\\", "é", "1/2+3/4i"]), max_size=6),
+        max_leaves=24,
+    ))
+    def test_writes_what_json_dumps_writes(self, tree):
+        assert _json_text(tree) == json.dumps(tree, indent=2)
+
+
 class TestModuleExecution:
     def test_python_m_runs_the_cli(self, tmp_path):
         import os
@@ -420,14 +498,18 @@ NOT_STR = st.none() | st.booleans() | st.floats() | st.integers(-(10**6), 10**6)
 
 
 def _not_a_scalar(text: str) -> bool:
+    # Whether the text parses, not whether it parses to nonzero: "0" is a scalar.
     try:
-        return not reference_parse(text)
+        reference_parse(text)
     except ValueError:
         return True
+    return False
 
 
 GOOD_SCALARS = st.sampled_from(["1", "-1", "2", "1/2", "i", "-i", "3-2/5i"])
 BAD_SCALARS = st.text(alphabet="0123456789+-/i .e", max_size=8).filter(_not_a_scalar) | NOT_STR
+# A zero scalar is a valid matrix entry but not a valid eigenvalue.
+BAD_EIGENVALUES = BAD_SCALARS | st.sampled_from(["0", "-0", "0/3", " 0 ", "0i", "0+0i"])
 
 
 GOOD_BLOCKS = st.fixed_dictionaries({"eigenvalue": GOOD_SCALARS, "size": st.integers(1, 4)})
@@ -435,7 +517,7 @@ BAD_BLOCKS = st.one_of(
     NOT_DICT,
     st.fixed_dictionaries({"eigenvalue": GOOD_SCALARS}),
     st.fixed_dictionaries({"size": st.integers(1, 4)}),
-    st.fixed_dictionaries({"eigenvalue": BAD_SCALARS, "size": st.integers(1, 4)}),
+    st.fixed_dictionaries({"eigenvalue": BAD_EIGENVALUES, "size": st.integers(1, 4)}),
     st.fixed_dictionaries({"eigenvalue": GOOD_SCALARS, "size": NOT_INT | st.integers(-(10**6), 0)}),
 )
 MALFORMED_SPECS = st.one_of(

@@ -44,6 +44,7 @@ CASES = dict(
     + _formats("classify-malformed-real-denominator", ["classify", "--input", "bad_real_denominator.json"])
     + _formats("classify-malformed-imag-denominator", ["classify", "--input", "bad_imag_denominator.json"])
     + _formats("classify-malformed-double-slash", ["classify", "--input", "bad_double_slash.json"])
+    + _formats("classify-malformed-duplicate-key", ["classify", "--input", "duplicate_key.json"])
     + _formats("verify-malformed-entry", ["verify", "--matrix-a", "bad_entry_a.json", "--matrix-g", "pass_g.json"])
 )
 

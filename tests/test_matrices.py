@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from oracles import laplace_det
 from strongrev.canonical import jordan_block
@@ -373,8 +373,43 @@ def square(draw, max_n=4):
     return draw(grids(n, n))
 
 
+HUGE = 10**40
+
+
+@st.composite
+def mixed_grids(draw, rows=None, cols=None):
+    """Grids up to 10 x 10 that mix zero rows, real rows and complex rows,
+    over denominator 1 (Gaussian-integer entries) or above, with negative
+    and huge parts."""
+    rows = rows or draw(st.integers(1, 10))
+    cols = cols or draw(st.integers(1, 10))
+    part = st.integers(-9, 9) | st.integers(-HUGE, HUGE)
+    if draw(st.booleans()):
+        part = part | st.builds(Fraction, part, st.integers(1, 12))
+    real = st.just(ZERO) | st.builds(G, part)
+    complex_ = real | st.builds(G, part, part)
+    kinds = {"zero": st.just(ZERO), "real": real, "complex": complex_}
+    return [
+        [draw(kinds[kind]) for _ in range(cols)]
+        for kind in draw(st.lists(st.sampled_from(sorted(kinds)), min_size=rows, max_size=rows))
+    ]
+
+
+@st.composite
+def mixed_chained(draw):
+    rows, inner, cols = (draw(st.integers(1, 10)) for _ in range(3))
+    return draw(mixed_grids(rows, inner)), draw(mixed_grids(inner, cols))
+
+
+# Zero, real and complex rows in one matrix, over denominator 1 and above.
+INTEGRAL_MIX = [[1, -HUGE, 0], [ZERO] * 3, [G(0, 1), G(3, -4), -7]]
+RATIONAL_MIX = [[G(Fraction(1, 2)), HUGE, -3], [G(Fraction(-1, 3), 2), ZERO, ZERO], [ZERO] * 3]
+
+
 class TestIntegerLayer:
-    @given(grid=grids())
+    @given(grid=grids() | mixed_grids())
+    @example(grid=INTEGRAL_MIX)
+    @example(grid=RATIONAL_MIX)
     def test_construction_entries_and_json(self, grid):
         m = ExactMatrix(grid)
         assert_normalized(m)
@@ -387,7 +422,10 @@ class TestIntegerLayer:
         assert back == m and hash(back) == hash(m)
         assert hash(m) == hash((m.rows, m.cols, tuple(map(tuple, grid))))
 
-    @given(pair=chained())
+    @given(pair=chained() | mixed_chained())
+    @example(pair=(INTEGRAL_MIX, RATIONAL_MIX))
+    @example(pair=(RATIONAL_MIX, INTEGRAL_MIX))
+    @example(pair=(INTEGRAL_MIX, INTEGRAL_MIX))
     def test_product(self, pair):
         x, y = pair
         product = ExactMatrix(x) * ExactMatrix(y)
