@@ -45,7 +45,6 @@ from .verify import (
     cross_path_check,
     homogeneous_det_check,
     run_selftest,
-    semisimple_cross_check,
 )
 
 __version__ = "0.1.0"

@@ -1,5 +1,5 @@
-"""Verification engine: direct matrix-identity checks, spec generators, and
-sweeps binding the classifier to explicit constructions.
+"""Verification engine: direct matrix-identity checks, the spec enumerator,
+and sweeps binding the classifier to explicit constructions.
 
 Everything here re-derives its verdicts from raw matrix arithmetic (or an
 independent restatement of a special case), so a bug in the construction
@@ -47,12 +47,9 @@ __all__ = [
     "classification_sweep",
     "class_counts",
     "homogeneous_det_check",
-    "semisimple_cross_check",
     "cross_path_check",
     "semisimple_strong_verdict",
     "sign_eigenvalue_strong_verdict",
-    "unipotent_strong_verdict",
-    "negative_one_strong_verdict",
     "single_pair_strong_verdict",
     "run_selftest",
     "DEFAULT_POOL",
@@ -79,51 +76,36 @@ def iter_partitions(n: int, max_part: int | None = None) -> Iterator[tuple[int, 
             yield (first,) + rest
 
 
-class SpecGenerator:
-    """Stream of Jordan specs over an eigenvalue pool with total size <= max_n.
+def _checked_max_n_and_pool(max_n: int, pool: Sequence) -> tuple[int, tuple[GaussianRational, ...]]:
+    """``max_n`` as a positive int and ``pool`` as distinct nonzero scalars;
+    anything else raises TypeError or ValueError."""
+    max_n = as_int(max_n)
+    if max_n < 1:
+        raise ValueError(f"max_n must be at least 1, got {max_n}")
+    pool = tuple(as_scalar(v) for v in pool)
+    if not all(pool):
+        raise ValueError("pool values must be nonzero (the matrix is invertible)")
+    if len({v.triple for v in pool}) != len(pool):
+        raise ValueError("pool values must be distinct")
+    return max_n, pool
 
-    Exhaustive mode enumerates every multiset of (eigenvalue, size) pairs
-    exactly once; random mode draws ``count`` specs deterministically from
-    ``seed``.  Pool values must be distinct and nonzero, ``max_n`` and
-    ``max_block_size`` must be positive ints and ``count`` a nonnegative int;
-    anything else is refused here, before any spec is built.
+
+class SpecGenerator:
+    """Every Jordan spec over an eigenvalue pool with total size <= max_n,
+    each multiset of (eigenvalue, size) pairs exactly once.
+
+    Pool values must be distinct and nonzero, and ``max_n`` and
+    ``max_block_size`` positive ints; anything else is refused here, before
+    any spec is built.
     """
 
-    def __init__(
-        self,
-        max_n: int,
-        pool: Sequence,
-        mode: str = "exhaustive",
-        seed: int = 0,
-        count: int = 0,
-        max_block_size: int | None = None,
-    ):
-        self.max_n = as_int(max_n)
-        if self.max_n < 1:
-            raise ValueError(f"max_n must be at least 1, got {self.max_n}")
-        self.pool = tuple(as_scalar(v) for v in pool)
-        if not all(self.pool):
-            raise ValueError("pool values must be nonzero (the matrix is invertible)")
-        if len({v.triple for v in self.pool}) != len(self.pool):
-            raise ValueError("pool values must be distinct")
-        if mode not in ("exhaustive", "random"):
-            raise ValueError(f"unknown mode {mode!r}")
-        self.mode = mode
-        self.seed = seed
-        self.count = as_int(count)
-        if self.count < 0:
-            raise ValueError(f"count must be nonnegative, got {self.count}")
+    def __init__(self, max_n: int, pool: Sequence, max_block_size: int | None = None):
+        self.max_n, self.pool = _checked_max_n_and_pool(max_n, pool)
         self.max_block_size = None if max_block_size is None else as_int(max_block_size)
         if self.max_block_size is not None and self.max_block_size < 1:
             raise ValueError(f"max_block_size must be at least 1, got {self.max_block_size}")
 
     def specs(self) -> Iterator[JordanSpec]:
-        if self.mode == "exhaustive":
-            yield from self._exhaustive()
-        else:
-            yield from self._random()
-
-    def _exhaustive(self) -> Iterator[JordanSpec]:
         limit = self.max_n if self.max_block_size is None else min(self.max_n, self.max_block_size)
         items = [(eig, size) for eig in self.pool for size in range(1, limit + 1)]
         # The recursion walks the items in pool order; each spec's blocks are
@@ -147,19 +129,6 @@ class SpecGenerator:
                     del acc[at]
 
         yield from rec(0, self.max_n, [])
-
-    def _random(self) -> Iterator[JordanSpec]:
-        rng = random.Random(self.seed)
-        for _ in range(self.count):
-            n = rng.randint(1, self.max_n)
-            blocks = []
-            remaining = n
-            while remaining:
-                cap = remaining if self.max_block_size is None else min(remaining, self.max_block_size)
-                size = rng.randint(1, cap)
-                blocks.append((rng.choice(self.pool), size))
-                remaining -= size
-            yield JordanSpec(blocks)
 
 
 def iter_involutive_reversers(
@@ -288,14 +257,15 @@ def class_counts(max_n: int, pool: Sequence) -> dict[str, int]:
     spec is a partition at each +-1 and one partition of some j for each
     pair, used at lam and at 1/lam (size 2j).  It is reversible-only when
     no +-1 part is odd and its parity value, the number of +-1 parts that
-    are 2 mod 4 plus the j of every pair, is odd.
+    are 2 mod 4 plus the j of every pair, is odd.  ``max_n`` and ``pool``
+    are refused as SpecGenerator refuses them.
     """
-    pool = [as_scalar(v) for v in pool]
+    n, pool = _checked_max_n_and_pool(max_n, pool)
     units = [v for v in pool if v == ONE or v == MINUS_ONE]
     others = [v for v in pool if v != ONE and v != MINUS_ONE]
     if any(v.inverse() not in others for v in others):
         raise ValueError("pool must be closed under inversion")
-    s, t, n = len(units), len(others) // 2, max_n
+    s, t = len(units), len(others) // 2
     plain = _graded_partitions(n, [(k, False) for k in range(1, n + 1)])
     even = _graded_partitions(n, [(k, k % 4 == 2) for k in range(2, n + 1, 2)])
     shared = [[0, 0] for _ in range(n + 1)]
@@ -398,16 +368,6 @@ def sign_eigenvalue_strong_verdict(spec: JordanSpec, mu: GaussianRational) -> bo
     return bool(sets.odd_sizes) or sets.singly_even_weight % 2 == 0
 
 
-def unipotent_strong_verdict(spec: JordanSpec) -> bool | None:
-    """The criterion of sign_eigenvalue_strong_verdict for eigenvalue 1."""
-    return sign_eigenvalue_strong_verdict(spec, ONE)
-
-
-def negative_one_strong_verdict(spec: JordanSpec) -> bool | None:
-    """The criterion of sign_eigenvalue_strong_verdict for eigenvalue -1."""
-    return sign_eigenvalue_strong_verdict(spec, MINUS_ONE)
-
-
 def single_pair_strong_verdict(spec: JordanSpec) -> bool | None:
     """Strong reversibility for eigenvalues {lam, 1/lam} only, lam != +-1:
     defined (and reversible) when both have the same block structure, and
@@ -443,16 +403,6 @@ def _compare(summary: dict, spec: JordanSpec, verdict: bool | None, label: str) 
             path=label,
             problem=f"{label} verdict {verdict} vs classifier {report.strongly_reversible}",
         )
-
-
-def semisimple_cross_check(gen: SpecGenerator) -> dict:
-    """Diagonal-case verdict must equal the general classifier on every
-    generated semisimple spec."""
-    summary = _new_summary("semisimple_cross_check")
-    for spec in gen.specs():
-        if all(size == 1 for _, size in spec.blocks):
-            _compare(summary, spec, semisimple_strong_verdict(spec), "semisimple")
-    return summary
 
 
 def cross_path_check(max_n: int = 10) -> dict:
@@ -574,11 +524,24 @@ def suite_partition_laws(seed: int = 0, trials: int = 500) -> dict:
     return summary
 
 
+def _random_specs(max_n: int, pool: Sequence, seed: int, count: int) -> Iterator[JordanSpec]:
+    """``count`` specs of total size 1..max_n with eigenvalues from pool,
+    drawn deterministically from ``seed``."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        blocks = []
+        remaining = rng.randint(1, max_n)
+        while remaining:
+            size = rng.randint(1, remaining)
+            blocks.append((rng.choice(pool), size))
+            remaining -= size
+        yield JordanSpec(blocks)
+
+
 def suite_canonical_laws(seed: int = 0, trials: int = 200) -> dict:
     """Weyr duality on random specs and centralizer samples on random structures."""
     summary = _new_summary("canonical_laws")
-    gen = SpecGenerator(10, DEFAULT_POOL, mode="random", seed=seed, count=trials)
-    for spec in gen.specs():
+    for spec in _random_specs(10, DEFAULT_POOL, seed, trials):
         summary["cases"] += 1
         try:
             wf = weyr_form(spec)  # verifies the conjugation internally
@@ -662,7 +625,6 @@ def run_selftest(max_n: int = 6, seed: int = 0) -> dict:
         suite_canonical_laws(seed + 3),
         suite_reverser_laws(seed + 4),
         sweep,
-        semisimple_cross_check(SpecGenerator(max_n, DEFAULT_POOL, max_block_size=1)),
         cross_path_check(max_n),
     ]
     budget = max(1, max_n // 2)

@@ -28,12 +28,10 @@ from strongrev.verify import (
     homogeneous_det_check,
     iter_involutive_reversers,
     iter_partitions,
-    negative_one_strong_verdict,
     run_selftest,
-    semisimple_cross_check,
     semisimple_strong_verdict,
+    sign_eigenvalue_strong_verdict,
     single_pair_strong_verdict,
-    unipotent_strong_verdict,
 )
 
 G = GaussianRational
@@ -225,19 +223,9 @@ class TestSpecGenerator:
         gen = SpecGenerator(4, (ONE, G(2)), max_block_size=1)
         assert all(size == 1 for spec in gen.specs() for _, size in spec.blocks)
 
-    def test_random_mode_deterministic(self):
-        gen_a = SpecGenerator(6, DEFAULT_POOL, mode="random", seed=5, count=25)
-        gen_b = SpecGenerator(6, DEFAULT_POOL, mode="random", seed=5, count=25)
-        assert list(gen_a.specs()) == list(gen_b.specs())
-        assert all(spec.n <= 6 for spec in gen_a.specs())
-
-    def test_rejects_unknown_mode(self):
-        with pytest.raises(ValueError):
-            SpecGenerator(3, (ONE,), mode="fuzz")
-
     @pytest.mark.parametrize(
         "kwargs",
-        [{"max_n": 7.9}, {"count": 2.5}, {"max_block_size": 1.0}, {"max_n": True}],
+        [{"max_n": 7.9}, {"max_block_size": 1.0}, {"max_n": True}],
         ids=repr,
     )
     def test_rejects_non_integer_sizes(self, kwargs):
@@ -247,13 +235,7 @@ class TestSpecGenerator:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [
-            {"max_n": 0, "mode": "random", "count": 2},
-            {"max_n": -2},
-            {"max_block_size": 0},
-            {"max_block_size": -1, "mode": "random", "count": 2},
-            {"count": -3, "mode": "random"},
-        ],
+        [{"max_n": 0}, {"max_n": -2}, {"max_block_size": 0}, {"max_block_size": -1}],
         ids=repr,
     )
     def test_rejects_out_of_range_sizes(self, kwargs):
@@ -288,6 +270,12 @@ class TestSpecGenerator:
         for spec in specs:
             assert spec == JordanSpec(spec.blocks)
         assert specs == _recursion_specs(6, pool, max_block_size)
+
+
+def test_random_specs_are_deterministic():
+    specs = list(verify_module._random_specs(6, DEFAULT_POOL, 5, 25))
+    assert specs == list(verify_module._random_specs(6, DEFAULT_POOL, 5, 25))
+    assert len(specs) == 25 and all(1 <= spec.n <= 6 for spec in specs)
 
 
 def _recursion_specs(max_n, pool, max_block_size=None) -> list[JordanSpec]:
@@ -371,7 +359,7 @@ class TestClassificationSweep:
         gen = SpecGenerator(6, (ONE,))
         assert classification_sweep(gen)["failures"] == []
         for spec in gen.specs():
-            assert unipotent_strong_verdict(spec) == classify(spec).strongly_reversible
+            assert sign_eigenvalue_strong_verdict(spec, ONE) == classify(spec).strongly_reversible
 
     def test_two_half_pool_at_n_two(self):
         summary = classification_sweep(SpecGenerator(2, (G(2), HALF)))
@@ -413,8 +401,31 @@ class TestClassificationSweep:
 class TestClassCounts:
     @pytest.mark.parametrize("pool", [DEFAULT_POOL, MIXED_POOL], ids=["default", "mixed"])
     def test_matches_generating_function_oracle(self, pool):
-        for n in range(17):
+        for n in range(1, 17):
             assert verify_module.class_counts(n, pool) == class_counts(n, pool)
+
+    @pytest.mark.parametrize("max_n", [7.9, True], ids=repr)
+    def test_rejects_non_integer_max_n(self, max_n):
+        with pytest.raises(TypeError):
+            verify_module.class_counts(max_n, DEFAULT_POOL)
+
+    @pytest.mark.parametrize("max_n", [0, -2])
+    def test_rejects_max_n_below_one(self, max_n):
+        with pytest.raises(ValueError, match="must be at least 1"):
+            verify_module.class_counts(max_n, DEFAULT_POOL)
+
+    @pytest.mark.parametrize(
+        "pool",
+        [[ONE, ONE], [G(2), HALF, G(2) / 4], [HALF, G(1) / 2, MINUS_ONE]],
+        ids=["one-twice", "half-twice", "half-twice-unit"],
+    )
+    def test_rejects_repeated_pool_value(self, pool):
+        with pytest.raises(ValueError, match="distinct"):
+            verify_module.class_counts(3, pool)
+
+    def test_rejects_zero_in_pool(self):
+        with pytest.raises(ValueError, match="nonzero"):
+            verify_module.class_counts(2, [ONE, ZERO])
 
     def test_refuses_a_pool_not_closed_under_inversion(self):
         with pytest.raises(ValueError, match="closed under inversion"):
@@ -464,15 +475,15 @@ class TestLemmaOracles:
         assert semisimple_strong_verdict(JordanSpec([(G(2), 2)])) is None
 
     def test_unipotent_examples(self):
-        assert unipotent_strong_verdict(JordanSpec([(ONE, 2)] * 3)) is False
-        assert unipotent_strong_verdict(JordanSpec([(ONE, 2)] * 2)) is True
-        assert unipotent_strong_verdict(JordanSpec([(ONE, 3)])) is True
-        assert unipotent_strong_verdict(JordanSpec([(MINUS_ONE, 2)])) is None
+        assert sign_eigenvalue_strong_verdict(JordanSpec([(ONE, 2)] * 3), ONE) is False
+        assert sign_eigenvalue_strong_verdict(JordanSpec([(ONE, 2)] * 2), ONE) is True
+        assert sign_eigenvalue_strong_verdict(JordanSpec([(ONE, 3)]), ONE) is True
+        assert sign_eigenvalue_strong_verdict(JordanSpec([(MINUS_ONE, 2)]), ONE) is None
 
     def test_negative_one_examples(self):
-        assert negative_one_strong_verdict(JordanSpec([(MINUS_ONE, 3)])) is True
-        assert negative_one_strong_verdict(JordanSpec([(MINUS_ONE, 2)])) is False
-        assert negative_one_strong_verdict(JordanSpec([(ONE, 2)])) is None
+        assert sign_eigenvalue_strong_verdict(JordanSpec([(MINUS_ONE, 3)]), MINUS_ONE) is True
+        assert sign_eigenvalue_strong_verdict(JordanSpec([(MINUS_ONE, 2)]), MINUS_ONE) is False
+        assert sign_eigenvalue_strong_verdict(JordanSpec([(ONE, 2)]), MINUS_ONE) is None
 
     def test_single_pair_examples(self):
         assert single_pair_strong_verdict(JordanSpec([(G(2), 2), (HALF, 2)])) is True
@@ -482,14 +493,10 @@ class TestLemmaOracles:
 
 
 class TestCrossChecks:
-    def test_semisimple_cross_check(self):
-        gen = SpecGenerator(8, DEFAULT_POOL, max_block_size=1)
-        summary = semisimple_cross_check(gen)
-        assert summary["failures"] == [] and summary["cases"] > 100
-
     def test_cross_path_small(self):
+        # 3 002 semisimple specs, 132 with one eigenvalue +-1 and 22 single pairs
         summary = cross_path_check(max_n=8)
-        assert summary["failures"] == [] and summary["cases"] > 0
+        assert summary["failures"] == [] and summary["cases"] == 3156
 
 
 class TestRunSelftest:
