@@ -72,10 +72,19 @@ def _check_dimension(path: str, n: int) -> None:
         raise CliInputError(f"{path}: matrix dimension {n} exceeds the limit {MAX_DIMENSION}")
 
 
-def _load_matrix(path: str) -> ExactMatrix:
+def _matrix_json(path: str) -> dict:
+    """The JSON of a matrix file, with its rows and cols checked against
+    MAX_DIMENSION; no entry is read."""
     data = _load_json(path)
     try:
         _check_dimension(path, max(as_int(data["rows"]), as_int(data["cols"])))
+    except (KeyError, TypeError) as exc:
+        raise CliInputError(f"{path}: invalid matrix: {exc}") from exc
+    return data
+
+
+def _read_matrix(path: str, data: dict) -> ExactMatrix:
+    try:
         return ExactMatrix.from_json_dict(data)
     except (KeyError, TypeError, ValueError, ScalarParseError) as exc:
         raise CliInputError(f"{path}: invalid matrix: {exc}") from exc
@@ -89,6 +98,12 @@ def _write(value, newline: str, out: list) -> None:
     indent=2) lays it out at the depth whose line break is newline."""
     if isinstance(value, str):
         out.append(_quote(value))
+        return
+    if type(value) is int:
+        out.append(int.__repr__(value))
+        return
+    if value is None or value is True or value is False:
+        out.append("null" if value is None else "true" if value else "false")
         return
     if not value or not isinstance(value, (dict, list, tuple)):
         out.append(json.dumps(value))
@@ -186,8 +201,10 @@ def cmd_witness(args) -> tuple[dict | None, int]:
 
 
 def cmd_verify(args) -> tuple[dict, int]:
-    a = _load_matrix(args.matrix_a)
-    g = _load_matrix(args.matrix_g)
+    # Both files' sizes are checked before either file's entries are read.
+    data_a, data_g = _matrix_json(args.matrix_a), _matrix_json(args.matrix_g)
+    a = _read_matrix(args.matrix_a, data_a)
+    g = _read_matrix(args.matrix_g, data_g)
     try:
         report = verify.check_witness(a, g)
     except ValueError as exc:

@@ -380,7 +380,11 @@ class ExactMatrix:
     @classmethod
     def from_json_dict(cls, data: dict) -> "ExactMatrix":
         """Strict reader: rows and cols are JSON integers and entries is a
-        list of lists of scalar text; nothing else is coerced."""
+        list of lists of scalar text; nothing else is coerced.
+
+        Each distinct text is parsed once, in order of first appearance, so
+        a malformed grid raises what parsing its first bad entry in
+        row-major order raises."""
         rows = as_int(data["rows"])
         cols = as_int(data["cols"])
         entries = data["entries"]
@@ -388,7 +392,23 @@ class ExactMatrix:
             raise ValueError("entries must be a list of rows, each a list")
         if len(entries) != rows or any(len(r) != cols for r in entries):
             raise ValueError("entry grid does not match declared shape")
-        return cls([[parse(v) for v in row] for row in entries])
+        try:
+            texts = dict.fromkeys(itertools.chain.from_iterable(entries))
+        except TypeError:
+            # An unhashable entry is not text; parse in row-major order up
+            # to the first bad entry, which is that one or an earlier one.
+            for v in itertools.chain.from_iterable(entries):
+                parse(v)
+            raise
+        triples = [parse(v).triple for v in texts]
+        d = lcm(*(e for _, _, e in triples))
+        re_of = {v: a * (d // e) for v, (a, _, e) in zip(texts, triples)}
+        im_of = {v: b * (d // e) for v, (_, b, e) in zip(texts, triples)}
+        return cls.from_numerators(
+            [list(map(re_of.__getitem__, row)) for row in entries],
+            [list(map(im_of.__getitem__, row)) for row in entries],
+            d,
+        )
 
     def __str__(self) -> str:
         return format_grid(self.to_json_dict()["entries"])

@@ -296,6 +296,16 @@ class TestDimensionLimit:
         for a, g in ((big, good), (good, big)):
             self.assert_refused(["verify", "--matrix-a", a, "--matrix-g", g], capsys)
 
+    def test_both_sizes_checked_before_any_entry_is_read(self, tmp_path, capsys):
+        a = write_json(tmp_path / "a.json", {"rows": 1, "cols": 1, "entries": [["x"]]})
+        g = write_json(tmp_path / "g.json", {"rows": 10**9, "cols": 1, "entries": [["1"]]})
+        assert main(["verify", "--matrix-a", a, "--matrix-g", g]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {g}: matrix dimension {10**9} exceeds the limit {MAX_DIMENSION}\n"
+        )
+
     def test_classify_takes_any_size(self, tmp_path, capsys):
         path = spec_file(tmp_path, [("1", 6000)])
         assert main(["classify", "--input", path, "--format", "json"]) == 0

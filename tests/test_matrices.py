@@ -4,9 +4,10 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import laplace_det
+from strongrev import matrices
 from strongrev.canonical import jordan_block
 from strongrev.matrices import (
     ExactMatrix,
@@ -16,7 +17,7 @@ from strongrev.matrices import (
     direct_sum,
 )
 from strongrev.reversal import jordan_reverser
-from strongrev.scalars import GaussianRational, MINUS_ONE, ONE, ZERO
+from strongrev.scalars import GaussianRational, MINUS_ONE, ONE, ZERO, parse
 
 G = GaussianRational
 
@@ -221,6 +222,26 @@ class TestPermutationMap:
             PermutationMap([1, 1, 3])
 
 
+GOOD_TEXTS = st.sampled_from(["0", "1", "-1", "1/2", "2/4", " 3 ", "i", "-i", "3-2/5i", "-0"]) | st.builds(
+    lambda a, b, d: str(G(Fraction(a, d), Fraction(b, d))),
+    st.integers(-(10**40), 10**40),
+    st.integers(-9, 9),
+    st.integers(1, 12),
+)
+BAD_ENTRIES = st.sampled_from(["", "x", "1//2", "1/0", "i/2", "1.5"]) | st.sampled_from(
+    [None, True, False, 0, 1, 1.0, [], ["1"], {}, {"1": "1"}]
+)
+
+
+@st.composite
+def repeated_text_grids(draw):
+    """An entry grid drawn from a pool of at most four good texts, so most
+    texts repeat."""
+    entry = st.sampled_from(draw(st.lists(GOOD_TEXTS, min_size=1, max_size=4)))
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    return [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+
+
 class TestJson:
     def test_round_trip(self):
         rng = random.Random(8)
@@ -238,6 +259,52 @@ class TestJson:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             ExactMatrix.from_json_dict({"rows": 2, "cols": 1, "entries": [["1"]]})
+
+    def test_parses_each_distinct_text_once(self, monkeypatch):
+        calls = []
+
+        def counting_parse(text):
+            calls.append(text)
+            return parse(text)
+
+        monkeypatch.setattr(matrices, "parse", counting_parse)
+        entries = [["0", "1/2", "0"], ["i", "0", "1/2"], ["0", "0", "-3+i"]]
+        m = ExactMatrix.from_json_dict({"rows": 3, "cols": 3, "entries": entries})
+        assert calls == ["0", "1/2", "i", "-3+i"]
+        assert m == ExactMatrix([[parse(v) for v in row] for row in entries])
+
+    @settings(max_examples=300, deadline=None)
+    @given(entries=repeated_text_grids())
+    def test_reader_matches_parsing_every_entry(self, entries):
+        m = ExactMatrix.from_json_dict(
+            {"rows": len(entries), "cols": len(entries[0]), "entries": entries}
+        )
+        assert_normalized(m)
+        assert m == ExactMatrix([[parse(v) for v in row] for row in entries])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        entries=repeated_text_grids(),
+        bad=st.lists(BAD_ENTRIES, min_size=1, max_size=2),
+        data=st.data(),
+    )
+    def test_reader_raises_what_parsing_every_entry_raises(self, entries, bad, data):
+        cells = [(i, j) for i in range(len(entries)) for j in range(len(entries[0]))]
+        if len(cells) > 1:
+            entries[cells[1][0]][cells[1][1]] = entries[0][0]
+        # The first bad entry follows the repeated text where the grid
+        # allows; bad entries, the same or another, may follow it.
+        first = data.draw(st.integers(min(2, len(cells) - 1), len(cells) - 1))
+        later = st.tuples(st.sampled_from(cells[first:]), st.sampled_from(bad))
+        for (i, j), value in [(cells[first], bad[0])] + data.draw(st.lists(later, max_size=3)):
+            entries[i][j] = value
+        with pytest.raises(Exception) as expected:
+            ExactMatrix([[parse(v) for v in row] for row in entries])
+        with pytest.raises(Exception) as got:
+            ExactMatrix.from_json_dict(
+                {"rows": len(entries), "cols": len(entries[0]), "entries": entries}
+            )
+        assert (got.type, str(got.value)) == (expected.type, str(expected.value))
 
 
 class TestImmutability:
