@@ -18,7 +18,7 @@ import sys
 
 from . import reversal, verify
 from .canonical import JordanSpec, weyr_form
-from .matrices import ExactMatrix, SingularMatrixError, format_grid
+from .matrices import ExactMatrix, SingularMatrixError, _square_difference, format_grid
 from .partitions import Partition
 from .scalars import ScalarParseError, as_int
 
@@ -287,17 +287,19 @@ def classify_text(p: dict) -> str:
 
 
 def witness_text(p: dict) -> str:
+    report = p["verification"]
     lines = [
         f"spec: {_spec_text(p['spec'])}   (mode: {p['mode']})",
         "A =",
         format_grid(p["a"]["entries"]),
         "g =",
         format_grid(p["g"]["entries"]),
-        _report_text(p["verification"]),
+        _report_text(report),
     ]
-    if not p["verification"]["involution"]:
+    if not report["involution"]:
         g = ExactMatrix.from_json_dict(p["g"])
-        if g * g == ExactMatrix.identity(g.rows).scale(-1):
+        a = ExactMatrix.from_json_dict(p["a"]) if report["reverses"] else None
+        if _square_difference(g, a, -1) is None:
             lines.append("note: g squares to -I")
     lines += [f"  {line}" for line in p["transcript"]]
     return "\n".join(lines)

@@ -429,16 +429,110 @@ def _fill(m: ExactMatrix, re: list[list[int]], im: list[list[int]], d: int) -> N
     set_field(m, "_d", d)
 
 
-def _identity_difference(m: ExactMatrix) -> tuple[int, int] | None:
-    """first_difference of the square m and the identity, without building
-    it: over the denominator d, the identity has d on the diagonal."""
-    d, zeros = m._d, m.cols - 1
+def _identity_difference(m: ExactMatrix, sign: int = 1) -> tuple[int, int] | None:
+    """first_difference of the square m and sign * I (sign 1 or -1), without
+    building it: over the denominator d, sign * I has sign * d on the
+    diagonal."""
+    d, zeros = sign * m._d, m.cols - 1
     for i, (row_re, row_im) in enumerate(zip(m._re, m._im)):
         if row_re[i] != d or row_re.count(0) != zeros or any(row_im):
             for j, (x, y) in enumerate(zip(row_re, row_im)):
                 if y or x != (d if i == j else 0):
                     return (i, j)
     return None
+
+
+def _run_ends(a: ExactMatrix) -> list[int] | None:
+    """The last index of each maximal run of indices joined by nonzero
+    superdiagonal entries of a, if a is upper bidiagonal and some run is
+    longer than one index; None otherwise."""
+    n = a.cols
+    ends = [i for i, r, m in zip(range(n - 1), a._re, a._im) if not (r[i + 1] or m[i + 1])]
+    if len(ends) == n - 1:
+        return None
+    for i, (row_re, row_im) in enumerate(zip(a._re, a._im)):
+        s_re, s_im = (row_re[i + 1], row_im[i + 1]) if i + 1 < n else (0, 0)
+        # Zeros plus the nonzeros at i and i + 1 make the whole row exactly
+        # when every nonzero lies at i or i + 1.
+        if (
+            row_re.count(0) + (row_re[i] != 0) + (s_re != 0) != n
+            or row_im.count(0) + (row_im[i] != 0) + (s_im != 0) != n
+        ):
+            return None
+    ends.append(n - 1)
+    return ends
+
+
+def _square_column(
+    cols_re: list[tuple[int, ...]], cols_im: list[tuple[int, ...]] | None, q: int
+) -> tuple[list[int], list[int]]:
+    """Column q of G*G, where cols_re[k] + cols_im[k]*i is column k of G
+    (cols_im None when G is real): the sum over k of G[k][q] * G[:, k]."""
+    n = len(cols_re)
+    cr, ci = [0] * n, [0] * n
+    for k, x in enumerate(cols_re[q]):
+        if x:
+            cr = [u + x * v for u, v in zip(cr, cols_re[k])]
+            if cols_im:
+                ci = [u + x * v for u, v in zip(ci, cols_im[k])]
+    if cols_im:
+        for k, y in enumerate(cols_im[q]):
+            if y:
+                ci = [u + y * v for u, v in zip(ci, cols_re[k])]
+                cr = [u - y * v for u, v in zip(cr, cols_im[k])]
+    return cr, ci
+
+
+def _lowered(
+    a: ExactMatrix, ur: list[int], ui: list[int], j: int
+) -> tuple[list[int], list[int]]:
+    """(A - A_jj) (ur + ui*i) for the numerators A of the upper bidiagonal a."""
+    xr, xi = a._re[j][j], a._im[j][j]
+    n = a.cols
+    out_re, out_im = [], []
+    for i, (row_re, row_im, u, v) in enumerate(zip(a._re, a._im, ur, ui)):
+        dr, di = row_re[i] - xr, row_im[i] - xi
+        x, y = dr * u - di * v, dr * v + di * u
+        if i + 1 < n:
+            sr, si, u1, v1 = row_re[i + 1], row_im[i + 1], ur[i + 1], ui[i + 1]
+            x, y = x + sr * u1 - si * v1, y + sr * v1 + si * u1
+        out_re.append(x)
+        out_im.append(y)
+    return out_re, out_im
+
+
+def _square_difference(
+    g: ExactMatrix, a: ExactMatrix | None = None, sign: int = 1
+) -> tuple[int, int] | None:
+    """first_difference of g * g and sign * I (sign 1 or -1).
+
+    Pass a only if g reverses it: a and g invertible and a g a = g.  Then,
+    for an upper bidiagonal a that is not diagonal, only the run-end
+    columns of g^2 are computed, and the other columns of a run whose end
+    column fails follow from it in O(n) each; see check_witness for why
+    that decides g^2 = sign * I and finds its first difference.  Otherwise
+    the dense g * g is compared.
+    """
+    ends = None if a is None else _run_ends(a)
+    if ends is None:
+        return _identity_difference(g * g, sign)
+    cols_re = list(zip(*g._re))
+    cols_im = list(zip(*g._im)) if any(map(any, g._im)) else None
+    firsts = []  # (first differing row, column) of each differing column
+    start = 0
+    for q in ends:
+        # Column q of d^2 (g^2 - sign * I), then of each earlier column of
+        # the run in turn, up to a nonzero factor, while it is nonzero.
+        ur, ui = _square_column(cols_re, cols_im, q)
+        ur[q] -= sign * g._d * g._d
+        for j in range(q, start - 1, -1):
+            if not (any(ur) or any(ui)):
+                break
+            firsts.append((next(r for r, (x, y) in enumerate(zip(ur, ui)) if x or y), j))
+            if j > start:
+                ur, ui = _lowered(a, ur, ui, j)
+        start = q + 1
+    return min(firsts, default=None)
 
 
 def direct_sum(blocks: Sequence[ExactMatrix]) -> ExactMatrix:
@@ -587,6 +681,21 @@ def check_witness(a: ExactMatrix, g: ExactMatrix) -> VerificationReport:
     a g a == g, so a passing check inverts nothing.  Only a failed reversal
     check inverts both matrices, to report the first entry where
     g a g^{-1} and a^{-1} differ.
+
+    Once g reverses a, g^2 = I is decided on a few columns when a is upper
+    bidiagonal.  Lemma: g a g^{-1} = a^{-1} gives g^2 a g^{-2} = a, so
+    c = g^2 commutes with a.  Split the indices into maximal runs p..q
+    joined by nonzero superdiagonal entries.  Within a run
+    (a - a_jj) e_j = a_{j-1,j} e_{j-1}, so every e_j of the run is a
+    polynomial in a applied to e_q, and c e_q = e_q makes every column of
+    the run an identity column.  So column q of g^2 is computed at each run
+    end.  Where it differs from e_q, the same identity gives
+    (c - I) e_{j-1} as a nonzero multiple of (a - a_jj)(c - I) e_j, which
+    locates the first differing row of every column of the run in O(n)
+    each; the least (row, column) among them is the first difference of
+    g^2 and I.  The dense g * g is compared instead when g does not reverse
+    a, when a is not upper bidiagonal, or when a is diagonal (every run
+    has length 1).
     """
     if not a.is_square() or not g.is_square() or a.rows != g.rows:
         raise ValueError("dimension mismatch between matrix and candidate reverser")
@@ -603,7 +712,7 @@ def check_witness(a: ExactMatrix, g: ExactMatrix) -> VerificationReport:
         if not reverses:
             i, j = (ga * g.inverse()).first_difference(a.inverse())
             residuals.append(("reverses", (i + 1, j + 1)))
-    pos = _identity_difference(g * g)
+    pos = _square_difference(g, a if reverses else None)
     involution = pos is None
     if pos is not None:
         residuals.append(("involution", (pos[0] + 1, pos[1] + 1)))

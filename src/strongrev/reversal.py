@@ -32,7 +32,7 @@ from .matrices import (
     inflate,
     offsets,
 )
-from .partitions import Partition, binomial
+from .partitions import Partition
 from .scalars import GaussianRational, MINUS_ONE, ONE, ZERO, as_scalar, inverse_triple
 from .scalars import I as IMAGINARY
 
@@ -116,12 +116,15 @@ def jordan_reverser(eigenvalue, n: int) -> ExactMatrix:
     im = [[0] * n for _ in range(n)]
     re[n - 1][n - 1] = den
     for i in range(n - 1):
-        sign = -1 if (n - 1 - i) % 2 else 1
+        # coeff runs through sign * C(m, k) for k = j - i, updated by
+        # C(m, k + 1) = C(m, k) (m - k) / (k + 1).
+        m = n - i - 2
+        coeff = -1 if (n - 1 - i) % 2 else 1
         row_re, row_im = re[i], im[i]
-        for j in range(i, n - 1):
-            coeff = sign * binomial(n - i - 2, j - i)
+        for k, j in enumerate(range(i, n - 1)):
             row_re[j] = coeff * pow_re[top - i - j]
             row_im[j] = coeff * pow_im[top - i - j]
+            coeff = coeff * (m - k) // (k + 1)
     return ExactMatrix.from_numerators(re, im, den)
 
 

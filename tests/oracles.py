@@ -30,6 +30,25 @@ def laplace_det(m: ExactMatrix) -> GaussianRational:
     return total
 
 
+def dense_square_difference(
+    m: ExactMatrix, sign: GaussianRational = ONE
+) -> tuple[int, int] | None:
+    """First (row, col), 0-based and row by row, where m*m differs from
+    sign*I: each entry of the square summed from the scalars m[i, k], with
+    no matrix product."""
+    n = m.rows
+    e = [[m[i, k] for k in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(n):
+            total = ZERO
+            for k in range(n):
+                if e[i][k] and e[k][j]:
+                    total = total + e[i][k] * e[k][j]
+            if total != (sign if i == j else ZERO):
+                return (i, j)
+    return None
+
+
 _RAT = r"-?\d+(?:/\d+)?"
 _SCALAR = re.compile(
     rf"(?:(?P<real>{_RAT})(?=[+-]|$))?"

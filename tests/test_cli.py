@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import reference_parse
-from strongrev.cli import MAX_DIMENSION, MAX_SELFTEST_N, _json_text, main
+from strongrev.cli import MAX_DIMENSION, MAX_SELFTEST_N, _json_text, main, witness_text
 from strongrev.canonical import JordanSpec, jordan_matrix
 from strongrev.matrices import ExactMatrix
 from strongrev.scalars import GaussianRational
@@ -113,6 +113,35 @@ class TestWitness:
         out = capsys.readouterr().out
         assert code == 0
         assert "g squares to -I" in out
+
+    @pytest.mark.parametrize(
+        "blocks, note",
+        [
+            ([("1", 6)], True),
+            ([("-1", 2), ("i", 3), ("-i", 3), ("2", 1), ("1/2", 1)], True),
+            ([("1", 6), ("-1", 4)], False),
+            ([("1", 2), ("2", 2), ("1/2", 2)], False),
+        ],
+    )
+    def test_sl_only_text_notes_square_only_when_minus_identity(
+        self, tmp_path, capsys, blocks, note
+    ):
+        # g^2 is -I on the +-1 blocks of size 2 mod 4 and on odd pairs, I elsewhere
+        path = spec_file(tmp_path, blocks)
+        assert main(["witness", "--input", path, "--sl-only"]) == 0
+        assert ("note: g squares to -I" in capsys.readouterr().out) == note
+
+    def test_minus_identity_note_without_reversal(self):
+        # a payload whose g does not reverse a: the note comes from the dense square
+        payload = {
+            "spec": {"blocks": [{"eigenvalue": "2", "size": 1}, {"eigenvalue": "1", "size": 1}]},
+            "mode": "sl-only",
+            "a": ExactMatrix([[2, 0], [0, 1]]).to_json_dict(),
+            "g": ExactMatrix([[0, 1], [-1, 0]]).to_json_dict(),
+            "verification": {"reverses": False, "involution": False, "determinant": "1"},
+            "transcript": [],
+        }
+        assert "note: g squares to -I" in witness_text(payload).splitlines()
 
     def test_not_reversible_exit(self, tmp_path, capsys):
         path = spec_file(tmp_path, [("2", 1)])

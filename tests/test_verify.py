@@ -7,11 +7,18 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import class_counts
+from oracles import class_counts, dense_square_difference, random_nonzero_scalar, random_scalar
 import strongrev.reversal as reversal_module
 import strongrev.verify as verify_module
 from strongrev.canonical import JordanSpec, jordan_block, jordan_matrix
-from strongrev.matrices import ExactMatrix, SingularMatrixError, direct_sum
+from strongrev.matrices import (
+    ExactMatrix,
+    PermutationMap,
+    SingularMatrixError,
+    _square_difference,
+    direct_sum,
+    offsets,
+)
 from strongrev.reversal import (
     classify,
     involutive_witness,
@@ -199,6 +206,228 @@ class TestInverseFreeVerification:
         report = check_witness(bundle.a, ExactMatrix(rows))
         assert not report.reverses
         assert report.residuals[0] == ("reverses", (1, 6))
+
+
+def _polynomial(a: ExactMatrix, coeffs) -> ExactMatrix:
+    """coeffs[0] + coeffs[1] a + coeffs[2] a^2 + ..., by Horner's rule."""
+    eye = ExactMatrix.identity(a.rows)
+    out = eye.scale(coeffs[-1])
+    for c in reversed(coeffs[:-1]):
+        out = out * a + eye.scale(c)
+    return out
+
+
+def _block_swap(spec: JordanSpec, i: int, j: int) -> ExactMatrix:
+    """Permutation matrix exchanging the equal Jordan blocks i and j."""
+    sizes = [size for _, size in spec.blocks]
+    offs = offsets(sizes)
+    images = list(range(1, spec.n + 1))
+    for t in range(sizes[i]):
+        images[offs[i] + t], images[offs[j] + t] = offs[j] + t + 1, offs[i] + t + 1
+    return PermutationMap(images).matrix()
+
+
+def _twisted_reversers(spec: JordanSpec, rng: random.Random):
+    """(a, g) for a = jordan_matrix(spec) and g = g0*c or c*g0, where g0 is
+    the SL reverser of spec and c a polynomial in a, a scalar on each Jordan
+    block or a swap of two equal Jordan blocks; each such c commutes with a,
+    so g reverses a whenever c is invertible."""
+    a = jordan_matrix(spec)
+    g0 = sl_reverser_witness(spec).g
+    cs = [
+        _polynomial(
+            a, [random_nonzero_scalar(rng, 3, 2), random_scalar(rng, 3, 2), random_scalar(rng, 3, 2)]
+        )
+        for _ in range(2)
+    ]
+    scalars = [random_nonzero_scalar(rng, 2, 1) for _ in spec.blocks]
+    per_index = [x for x, (_, size) in zip(scalars, spec.blocks) for _ in range(size)]
+    cs.append(ExactMatrix.diagonal(per_index))
+    cs += [
+        _block_swap(spec, i, j)
+        for i, j in itertools.combinations(range(len(spec.blocks)), 2)
+        if spec.blocks[i] == spec.blocks[j]
+    ]
+    yield a, g0
+    for c in cs:
+        yield a, g0 * c
+        yield a, c * g0
+
+
+def _rescaled(a: ExactMatrix, g: ExactMatrix, rng: random.Random):
+    """D a D^-1 and D g D^-1 for a random complex diagonal D: the
+    superdiagonal of a Jordan matrix becomes non-unit."""
+    d = [random_nonzero_scalar(rng, 3, 3) for _ in range(a.rows)]
+    dm, dinv = ExactMatrix.diagonal(d), ExactMatrix.diagonal([x.inverse() for x in d])
+    return dm * a * dinv, dm * g * dinv
+
+
+class TestRunEndInvolutionCheck:
+    """When g reverses an upper bidiagonal a, check_witness decides g^2 = I
+    from the run-end columns of g^2; the flag and the residual must be those
+    of the dense oracle."""
+
+    @staticmethod
+    def agrees(a, g):
+        report = check_witness(a, g)
+        pos = dense_square_difference(g)
+        assert report.involution == (pos is None)
+        expected = () if pos is None else (("involution", (pos[0] + 1, pos[1] + 1)),)
+        assert tuple(r for r in report.residuals if r[0] == "involution") == expected
+        return report
+
+    def tally(self, pairs):
+        counts = {"reverses": 0, "not_involution": 0}
+        for a, g in pairs:
+            report = self.agrees(a, g)
+            if report.reverses:
+                counts["reverses"] += 1
+                counts["not_involution"] += not report.involution
+        return counts
+
+    def test_twisted_reversers_of_small_specs(self):
+        rng = random.Random(16)
+        specs = [s for s in SpecGenerator(5, MIXED_POOL).specs() if classify(s).reversible]
+        pairs = [p for spec in specs for p in _twisted_reversers(spec, rng)]
+        counts = self.tally(pairs + [_rescaled(a, g, rng) for a, g in pairs])
+        assert counts["reverses"] >= 1700 and counts["not_involution"] >= 1100
+
+    @pytest.mark.parametrize(
+        "blocks",
+        [
+            [(G(1), 3), (G(1), 3), (G(-1), 2), (G(2), 2), (HALF, 2)],
+            [(G(-1), 2), (G(-1), 2), (G(1), 1), (G(1), 1), (I, 3), (-I, 3)],
+            [(G(1), 6), (G(-1), 2), (G(-1), 1)],
+        ],
+    )
+    def test_twisted_reversers_of_larger_specs(self, blocks):
+        rng = random.Random(len(blocks))
+        pairs = list(_twisted_reversers(JordanSpec(blocks), rng))
+        counts = self.tally(pairs + [_rescaled(a, g, rng) for a, g in pairs])
+        assert counts["reverses"] == 2 * len(pairs)
+
+    def test_one_run_with_distinct_eigenvalues(self):
+        # An upper bidiagonal a with nonzero superdiagonal and the distinct
+        # eigenvalues i, -i, 1, 2, 1/2 on its diagonal: one run, and
+        # a_jj - a_ii is nonzero off the diagonal.  a = P L P^-1 for the
+        # upper triangular eigenvector matrix P, and g = P s P^-1 reverses a
+        # for every s that swaps the eigenvalues of L with their inverses.
+        rng = random.Random(7)
+        values = [I, -I, ONE, G(2), HALF]
+        partner = [1, 0, 2, 4, 3]
+        for _ in range(30):
+            sup = [random_nonzero_scalar(rng, 3, 2) for _ in range(4)]
+            a = ExactMatrix(
+                [
+                    [values[i] if j == i else sup[i] if j == i + 1 else ZERO for j in range(5)]
+                    for i in range(5)
+                ]
+            )
+            # column k of P: e_k, then (a_ii - lam) v_i + a_i,i+1 v_i+1 = 0 upwards
+            cols = []
+            for k, lam in enumerate(values):
+                v = [ZERO] * 5
+                v[k] = ONE
+                for i in range(k - 1, -1, -1):
+                    v[i] = -(sup[i] * v[i + 1]) / (values[i] - lam)
+                cols.append(v)
+            p = ExactMatrix([[cols[k][i] for k in range(5)] for i in range(5)])
+            scales = [random_nonzero_scalar(rng, 2, 1) for _ in range(5)]
+            if rng.random() < 0.3:  # an involution: the scales of a swap multiply to 1
+                x, y = scales[0], scales[3]
+                scales = [x, x.inverse(), rng.choice([ONE, MINUS_ONE]), y, y.inverse()]
+            s = ExactMatrix(
+                [[scales[k] if i == partner[k] else ZERO for k in range(5)] for i in range(5)]
+            )
+            g = p * s * p.inverse()
+            assert self.agrees(a, g).reverses
+            assert _square_difference(g, a, -1) == dense_square_difference(g, MINUS_ONE)
+
+    @pytest.mark.parametrize(
+        "blocks",
+        [
+            [(G(1), 2)],
+            [(G(1), 6), (G(-1), 4)],
+            [(G(1), 2), (G(2), 2), (HALF, 2)],
+            [(G(-1), 2), (I, 3), (-I, 3), (G(2), 1), (HALF, 1)],
+        ],
+    )
+    def test_sl_witnesses_that_square_to_minus_identity_on_blocks(self, blocks):
+        # reversible-only specs: g^2 is -I on the +-1 blocks of size 2 mod 4
+        # and on the odd pairs, I elsewhere
+        bundle = sl_reverser_witness(JordanSpec(blocks))
+        assert bundle.reverses and not bundle.is_involution
+        self.agrees(bundle.a, bundle.g)
+        for a, g in [(bundle.a, bundle.g), _rescaled(bundle.a, bundle.g, random.Random(1))]:
+            assert _square_difference(g, a, -1) == dense_square_difference(g, MINUS_ONE)
+
+    def test_diagonal_a_with_dense_g(self):
+        # g commutes with a = a^-1, so it reverses a; a diagonal a has only
+        # runs of length 1, and the check falls back to the dense square
+        rng = random.Random(3)
+        a = ExactMatrix.diagonal([1, 1, 1, -1, -1])
+        for _ in range(20):
+            blocks = [
+                ExactMatrix([[random_scalar(rng) for _ in range(k)] for _ in range(k)])
+                for k in (3, 2)
+            ]
+            if not all(b.det() for b in blocks):
+                continue
+            signs = [
+                ExactMatrix.diagonal([rng.choice([1, -1]) for _ in range(b.rows)]) for b in blocks
+            ]
+            for g in (
+                direct_sum(blocks),
+                direct_sum([b * s * b.inverse() for b, s in zip(blocks, signs)]),
+            ):
+                assert self.agrees(a, g).reverses
+
+    def test_non_bidiagonal_a(self):
+        # P a P^-1 and P g P^-1 for P = I + t E_ij, above and below the
+        # diagonal: g still reverses a, but a is not upper bidiagonal
+        rng = random.Random(5)
+        spec = JordanSpec([(G(1), 2), (G(1), 2), (G(2), 2), (HALF, 2)])
+        for a, g in _twisted_reversers(spec, rng):
+            for i, j in [(1, 2), (2, 1), (0, 3), (4, 3), (7, 0)]:
+                p = ExactMatrix.identity(spec.n)
+                t = ExactMatrix([[random_nonzero_scalar(rng)]])
+                e = ExactMatrix.from_blocks(spec.n, [(i, j, t)])
+                p, pinv = p + e, p - e
+                self.agrees(p * a * pinv, p * g * pinv)
+
+    def test_non_bidiagonal_a_whose_run_ends_do_not_generate(self):
+        # b = P a P^-1 for a = J(1,2) + J(1,1) + J(1,1) has superdiagonal
+        # (1, 0, 1), so the runs end at indices 1 and 3 as for a bidiagonal
+        # matrix; but b is not bidiagonal, e_1 and e_3 generate only a
+        # 3-dimensional b-invariant subspace, and h^2 fixes both without
+        # being the identity
+        a = direct_sum([jordan_block(ONE, 2), ExactMatrix.identity(2)])
+        g = direct_sum([jordan_reverser(ONE, 2), ExactMatrix([[1, 0], [HALF, 1]])])
+        p = ExactMatrix([[1, 0, 0, 0], [0, 1, 0, -1], [1, 0, 1, 0], [0, 0, 0, 1]])
+        pinv = p.inverse()
+        b, h = p * a * pinv, p * g * pinv
+        assert [b[i, i + 1] for i in range(3)] == [ONE, ZERO, ONE]
+        square = h * h
+        assert all(square[i, j] == (ONE if i == j else ZERO) for i in range(4) for j in (1, 3))
+        report = self.agrees(b, h)
+        assert report.reverses and not report.involution
+
+    def test_involutive_witness_is_not_squared_densely(self, monkeypatch):
+        squares = []
+        product = ExactMatrix.__mul__
+
+        def counting(self, other):
+            if self is other:
+                squares.append(self.rows)
+            return product(self, other)
+
+        monkeypatch.setattr(ExactMatrix, "__mul__", counting)
+        bundle = involutive_witness(JordanSpec([(G(1), 5), (G(-1), 3), (G(2), 2), (HALF, 2)]))
+        assert check_witness(bundle.a, bundle.g).all_good()
+        assert squares == []
+        # the dense fallback is what the counter sees
+        assert check_witness(ExactMatrix.diagonal([1, -1]), ExactMatrix.identity(2)).all_good()
+        assert squares == [2]
 
 
 class TestSpecGenerator:
