@@ -20,7 +20,6 @@ from .reversal import (
     DetSignPrediction,
     NotReversibleError,
     NotStronglyReversibleError,
-    ReversibilityReport,
     StrongReversibilityReport,
     WitnessBundle,
     classify,
@@ -31,7 +30,6 @@ from .reversal import (
     jordan_reverser,
     jordan_reverser_general,
     jordan_reverser_recurrence,
-    pair_blocks,
     pair_reverser,
     sample_reverser,
     sl_reverser_witness,

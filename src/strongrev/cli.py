@@ -20,7 +20,7 @@ from . import reversal, verify
 from .canonical import JordanSpec, weyr_form
 from .matrices import ExactMatrix, SingularMatrixError, _square_difference, format_grid
 from .partitions import Partition
-from .scalars import ScalarParseError, as_int
+from .scalars import as_int
 
 __all__ = ["main", "entrypoint"]
 
@@ -63,7 +63,7 @@ def _load_spec(path: str) -> JordanSpec:
     data = _load_json(path)
     try:
         return JordanSpec.from_json_dict(data)
-    except (KeyError, TypeError, ValueError, ScalarParseError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise CliInputError(f"{path}: invalid Jordan spec: {exc}") from exc
 
 
@@ -86,7 +86,7 @@ def _matrix_json(path: str) -> dict:
 def _read_matrix(path: str, data: dict) -> ExactMatrix:
     try:
         return ExactMatrix.from_json_dict(data)
-    except (KeyError, TypeError, ValueError, ScalarParseError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise CliInputError(f"{path}: invalid matrix: {exc}") from exc
 
 
@@ -151,7 +151,6 @@ def _block_json(block) -> dict:
 def cmd_classify(args) -> tuple[dict, int]:
     spec = _load_spec(args.input)
     report = reversal.classify(spec)
-    pairing = report.pairing
     payload = {
         "spec": spec.to_json_dict(),
         "n": spec.n,
@@ -159,12 +158,12 @@ def cmd_classify(args) -> tuple[dict, int]:
         "pairing": {
             "pairs": [
                 [_block_json(spec.blocks[i]), _block_json(spec.blocks[j])]
-                for i, j in pairing.pairs
+                for i, j in report.pairs
             ],
-            "singletons": [_block_json(spec.blocks[i]) for i in pairing.singletons],
+            "singletons": [_block_json(spec.blocks[i]) for i in report.singletons],
         },
         "failure_witness": (
-            _block_json(pairing.failure_witness) if pairing.failure_witness else None
+            _block_json(report.failure_witness) if report.failure_witness else None
         ),
         "strongly_reversible": report.strongly_reversible,
         "plus_one_multiplicity": report.p,

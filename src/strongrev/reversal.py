@@ -39,7 +39,6 @@ from .scalars import I as IMAGINARY
 __all__ = [
     "NotReversibleError",
     "NotStronglyReversibleError",
-    "ReversibilityReport",
     "StrongReversibilityReport",
     "DetSignPrediction",
     "WitnessBundle",
@@ -51,7 +50,6 @@ __all__ = [
     "blocked_jordan_reverser",
     "involution_reverser",
     "pair_reverser",
-    "pair_blocks",
     "classify",
     "involution_det_sign",
     "block_reversers",
@@ -78,10 +76,6 @@ class NotStronglyReversibleError(ValueError):
 
 
 _ONE, _MINUS_ONE = ONE.triple, MINUS_ONE.triple
-
-
-def _sign_value(k: int) -> GaussianRational:
-    return MINUS_ONE if k % 2 else ONE
 
 
 def jordan_reverser(eigenvalue, n: int) -> ExactMatrix:
@@ -202,22 +196,13 @@ def pair_reverser(eigenvalue, n: int) -> ExactMatrix:
 
 
 @dataclass(frozen=True)
-class ReversibilityReport:
-    """Outcome of matching Jordan blocks into reversing pairs.
-
-    ``pairs`` and ``singletons`` hold indices into ``spec.blocks``; the spec
-    is reversible exactly when they cover every block.
-    """
-
-    reversible: bool
-    pairs: tuple[tuple[int, int], ...]
-    singletons: tuple[int, ...]
-    failure_witness: tuple[GaussianRational, int] | None
-
-
-@dataclass(frozen=True)
 class StrongReversibilityReport:
     """Full classification of a spec.
+
+    ``pairs`` and ``singletons`` hold indices into ``spec.blocks``: each pair
+    matches a (lam, d) block with a (1/lam, d) block, and the singletons are
+    the +-1 blocks.  The spec is reversible exactly when they cover every
+    block; otherwise ``failure_witness`` is the first block left unmatched.
 
     ``parity_value`` is the singly-even multiplicity weight of the +1 and -1
     Jordan structures plus half the size of everything else; a reversible
@@ -229,12 +214,14 @@ class StrongReversibilityReport:
 
     reversible: bool
     strongly_reversible: bool
+    pairs: tuple[tuple[int, int], ...]
+    singletons: tuple[int, ...]
+    failure_witness: tuple[GaussianRational, int] | None
     plus_sizes: tuple[int, ...]
     minus_sizes: tuple[int, ...]
     odd_block_present: bool
     parity_value: int
     parity_even: bool
-    pairing: ReversibilityReport
 
     @property
     def p(self) -> int:
@@ -298,11 +285,6 @@ def _frozen(cls, **fields):
     return report
 
 
-def pair_blocks(spec: JordanSpec) -> ReversibilityReport:
-    """The block pairing of :func:`classify`."""
-    return classify(spec).pairing
-
-
 def classify(spec: JordanSpec) -> StrongReversibilityReport:
     """Decide reversibility and strong reversibility of the spec in SL(n).
 
@@ -340,23 +322,18 @@ def classify(spec: JordanSpec) -> StrongReversibilityReport:
         raise RuntimeError("internal error: paired blocks cover an odd dimension")
     parity_value = singly_even + rest // 2
     parity_even = parity_value % 2 == 0
-    pairing = _frozen(
-        ReversibilityReport,
-        reversible=reversible,
-        pairs=tuple(pairs),
-        singletons=tuple(singletons),
-        failure_witness=blocks[min(leftover)] if leftover else None,
-    )
     return _frozen(
         StrongReversibilityReport,
         reversible=reversible,
         strongly_reversible=reversible and (odd > 0 or parity_even),
+        pairs=tuple(pairs),
+        singletons=tuple(singletons),
+        failure_witness=blocks[min(leftover)] if leftover else None,
         plus_sizes=tuple(plus),
         minus_sizes=tuple(minus),
         odd_block_present=odd > 0,
         parity_value=parity_value,
         parity_even=parity_even,
-        pairing=pairing,
     )
 
 
@@ -393,20 +370,20 @@ def block_reversers(spec: JordanSpec) -> list[ExactMatrix]:
 
 
 def assemble_block_reverser(
-    spec: JordanSpec, pairing: ReversibilityReport, blocks: Sequence[ExactMatrix]
+    spec: JordanSpec, report: StrongReversibilityReport, blocks: Sequence[ExactMatrix]
 ) -> ExactMatrix:
     """Blockwise reverser of jordan_matrix(spec) from one matrix per block.
 
     blocks[idx] is a multiple scales[idx] * R(lam, d) of the reverser of
     block idx = (lam, d) and goes to block position (idx, partner): the
     partner is idx itself for a singleton and the other block of its pair
-    otherwise, which pair_blocks makes (1/lam, d).  The result is an
+    otherwise, which classify makes (1/lam, d).  The result is an
     involution exactly when every singleton scale squares to 1 and the two
     scales of every pair multiply to 1.  The blocks are copied, so callers
     may share them between results.
     """
-    partner = {idx: idx for idx in pairing.singletons}
-    for i, j in pairing.pairs:
+    partner = {idx: idx for idx in report.singletons}
+    for i, j in report.pairs:
         partner[i], partner[j] = j, i
     offs = offsets(size for _, size in spec.blocks)
     return ExactMatrix.from_blocks(
@@ -415,31 +392,29 @@ def assemble_block_reverser(
     )
 
 
-def _scaled_block_reverser(
-    spec: JordanSpec, pairing: ReversibilityReport, scales: Sequence[GaussianRational]
-) -> ExactMatrix:
-    """assemble_block_reverser with blocks[idx] = scales[idx] * R(lam, d)."""
+def _witness(
+    spec: JordanSpec, report: StrongReversibilityReport, scales: Sequence[GaussianRational],
+    transcript: list[str], require_involution: bool,
+) -> WitnessBundle:
+    """assemble_block_reverser with blocks[idx] = scales[idx] * R(lam, d),
+    checked once against jordan_matrix(spec); a g that fails the check
+    raises instead of being returned."""
     blocks = [
         r if scale == ONE else r.scale(scale)
         for r, scale in zip(block_reversers(spec), scales)
     ]
-    return assemble_block_reverser(spec, pairing, blocks)
-
-
-def _verified_bundle(
-    spec: JordanSpec, g: ExactMatrix, transcript: list[str], require_involution: bool
-) -> WitnessBundle:
+    g = assemble_block_reverser(spec, report, blocks)
     a = jordan_matrix(spec)
-    report = check_witness(a, g)
-    if not report.reverses or not report.in_special or (
-        require_involution and not report.involution
+    check = check_witness(a, g)
+    if not check.reverses or not check.in_special or (
+        require_involution and not check.involution
     ):
         raise RuntimeError(
             "internal error: constructed witness failed verification "
-            f"(reverses={report.reverses}, involution={report.involution}, "
-            f"det={report.determinant}); transcript: " + "; ".join(transcript)
+            f"(reverses={check.reverses}, involution={check.involution}, "
+            f"det={check.determinant}); transcript: " + "; ".join(transcript)
         )
-    return WitnessBundle(a, g, report, tuple(transcript))
+    return WitnessBundle(a, g, check, tuple(transcript))
 
 
 def involutive_witness(spec: JordanSpec) -> WitnessBundle:
@@ -458,34 +433,27 @@ def _involutive_witness(spec: JordanSpec, report: StrongReversibilityReport) -> 
     """involutive_witness given report = classify(spec)."""
     if not report.strongly_reversible:
         raise NotStronglyReversibleError(_det_sign(spec, report))
-    pairing = report.pairing
     transcript: list[str] = []
     scales = [ONE] * len(spec.blocks)
     odd_indices: list[int] = []
-    forced = 1
-    for idx in pairing.singletons:
+    for idx in report.singletons:
         eig, size = spec.blocks[idx]
         if size % 2 == 0:
-            contribution = -1 if size % 4 == 2 else 1
-            forced *= contribution
-            transcript.append(
-                f"block {idx}: J({eig},{size}) even, scale 1, det {contribution:+d}"
-            )
+            det = -1 if size % 4 == 2 else 1
+            transcript.append(f"block {idx}: J({eig},{size}) even, scale 1, det {det:+d}")
         else:
-            scales[idx] = _sign_value(size * (size - 1) // 2)
+            # (-1)^(d(d-1)/2), which is -1 exactly when d = 3 mod 4
+            scales[idx] = MINUS_ONE if size % 4 == 3 else ONE
             odd_indices.append(idx)
-            transcript.append(
-                f"block {idx}: J({eig},{size}) odd, scale {scales[idx]}, det +1"
-            )
-    for i, j in pairing.pairs:
+            transcript.append(f"block {idx}: J({eig},{size}) odd, scale {scales[idx]}, det +1")
+    for i, j in report.pairs:
         lam, size = spec.blocks[i]
-        contribution = -1 if size % 2 else 1
-        forced *= contribution
         transcript.append(
             f"pair ({i},{j}): J({lam},{size}) with J({lam.inverse()},{size}), "
-            f"det {contribution:+d}"
+            f"det {-1 if size % 2 else 1:+d}"
         )
-    if forced == -1:
+    # The forced contributions multiply to (-1)^parity_value.
+    if not report.parity_even:
         if not odd_indices:
             raise RuntimeError(
                 "internal error: forced sign -1 with no odd block to flip; "
@@ -494,17 +462,17 @@ def _involutive_witness(spec: JordanSpec, report: StrongReversibilityReport) -> 
         flip = odd_indices[0]
         scales[flip] = -scales[flip]
         transcript.append(f"block {flip}: flipped scale to absorb forced sign -1")
-    g = _scaled_block_reverser(spec, pairing, scales)
-    return _verified_bundle(spec, g, transcript, require_involution=True)
+    return _witness(spec, report, scales, transcript, require_involution=True)
 
 
 def sl_reverser_witness(spec: JordanSpec) -> WitnessBundle:
     """Reverser g in SL (not necessarily an involution) for any reversible spec.
 
-    Per-block scalar scalings force every block's determinant contribution
-    to +1: odd +-1 blocks as in involutive_witness, +-1 blocks of size
-    2 mod 4 scale by -i (so g squares to -1 on that block), and the second
-    block of an odd-size pair scales by -1.
+    A strongly reversible spec gets its involutive witness.  Otherwise every
+    +-1 block is even, and per-block scalar scalings force every block's
+    determinant contribution to +1: +-1 blocks of size 2 mod 4 scale by -i
+    (so g squares to -1 on that block), and the second block of an odd-size
+    pair scales by -1.
     """
     report = classify(spec)
     if not report.reversible:
@@ -515,25 +483,21 @@ def sl_reverser_witness(spec: JordanSpec) -> WitnessBundle:
             bundle,
             transcript=bundle.transcript + ("strongly reversible: involutive witness reused",),
         )
-    pairing = report.pairing
     transcript: list[str] = []
     scales = [ONE] * len(spec.blocks)
-    for idx in pairing.singletons:
+    for idx in report.singletons:
         eig, size = spec.blocks[idx]
-        if size % 2 == 1:
-            scales[idx] = _sign_value(size * (size - 1) // 2)
-        elif size % 4 == 2:
+        if size % 4 == 2:
             scales[idx] = -IMAGINARY
         transcript.append(f"block {idx}: J({eig},{size}) scale {scales[idx]}, det +1")
-    for i, j in pairing.pairs:
+    for i, j in report.pairs:
         lam, size = spec.blocks[i]
         if size % 2:
             scales[j] = MINUS_ONE
         transcript.append(
             f"pair ({i},{j}): J({lam},{size}) scales ({scales[i]}, {scales[j]}), det +1"
         )
-    g = _scaled_block_reverser(spec, pairing, scales)
-    return _verified_bundle(spec, g, transcript, require_involution=False)
+    return _witness(spec, report, scales, transcript, require_involution=False)
 
 
 def sample_reverser(spec: JordanSpec, seed: int) -> ExactMatrix:
@@ -543,8 +507,7 @@ def sample_reverser(spec: JordanSpec, seed: int) -> ExactMatrix:
     reverser (the reverser set is a right coset of the centralizer); the
     duality permutation pulls the product back to the Jordan basis.
     """
-    pairing = pair_blocks(spec)
-    if not pairing.reversible:
+    if not classify(spec).reversible:
         raise NotReversibleError(f"spec is not reversible: {spec!r}")
     wf = weyr_form(spec)
     structures = wf.structures

@@ -12,7 +12,6 @@ from strongrev.reversal import (
     DetSignPrediction,
     NotReversibleError,
     NotStronglyReversibleError,
-    ReversibilityReport,
     StrongReversibilityReport,
     classify,
     involution_det_sign,
@@ -22,7 +21,6 @@ from strongrev.reversal import (
     jordan_reverser,
     jordan_reverser_general,
     jordan_reverser_recurrence,
-    pair_blocks,
     pair_reverser,
     sample_reverser,
     sl_reverser_witness,
@@ -229,7 +227,8 @@ class TestPairReverser:
 
 
 def reference_pair_blocks(spec):
-    """pair_blocks as written on GaussianRational keys, with == and inverse()."""
+    """The block pairing of classify as written on GaussianRational keys,
+    with == and inverse(): (reversible, pairs, singletons, failure_witness)."""
     waiting = {}
     pairs = []
     singletons = []
@@ -246,10 +245,8 @@ def reference_pair_blocks(spec):
     leftover = [idx for queue in waiting.values() for idx in queue]
     if leftover:
         witness_idx = min(leftover)
-        return ReversibilityReport(
-            False, tuple(pairs), tuple(singletons), spec.blocks[witness_idx]
-        )
-    return ReversibilityReport(True, tuple(pairs), tuple(singletons), None)
+        return False, tuple(pairs), tuple(singletons), spec.blocks[witness_idx]
+    return True, tuple(pairs), tuple(singletons), None
 
 
 _PAIRABLE = [
@@ -271,48 +268,52 @@ class TestPairBlocks:
     def test_matches_reference_pairing(self, blocks, rnd):
         rnd.shuffle(blocks)
         spec = JordanSpec(blocks)
-        assert pair_blocks(spec) == reference_pair_blocks(spec)
+        report = classify(spec)
+        fields = (report.reversible, report.pairs, report.singletons, report.failure_witness)
+        assert fields == reference_pair_blocks(spec)
 
     def test_simple_pair(self):
-        report = pair_blocks(spec_of((2, 2), (HALF, 2)))
+        report = classify(spec_of((2, 2), (HALF, 2)))
         assert report.reversible
         assert len(report.pairs) == 1 and not report.singletons
 
     def test_size_mismatch(self):
-        report = pair_blocks(spec_of((2, 2), (HALF, 3)))
+        report = classify(spec_of((2, 2), (HALF, 3)))
         assert not report.reversible
         assert report.failure_witness in ((G(2), 2), (HALF, 3))
 
     def test_unit_blocks_are_singletons(self):
-        report = pair_blocks(spec_of((-1, 3), (1, 1)))
+        report = classify(spec_of((-1, 3), (1, 1)))
         assert report.reversible
         assert len(report.singletons) == 2 and not report.pairs
 
     def test_imaginary_pairing(self):
-        report = pair_blocks(JordanSpec([(I, 2), (-I, 2)]))
+        report = classify(JordanSpec([(I, 2), (-I, 2)]))
         assert report.reversible and len(report.pairs) == 1
 
     def test_repeated_blocks_all_pair(self):
-        report = pair_blocks(spec_of((2, 1), (2, 1), (HALF, 1), (HALF, 1)))
+        report = classify(spec_of((2, 1), (2, 1), (HALF, 1), (HALF, 1)))
         assert report.reversible and len(report.pairs) == 2
 
 
 def reference_classify(spec):
     """classify restated on reference_pair_blocks, with == on values."""
-    pairing = reference_pair_blocks(spec)
+    reversible, pairs, singletons, failure_witness = reference_pair_blocks(spec)
     plus = tuple(size for eig, size in spec.blocks if eig == ONE)
     minus = tuple(size for eig, size in spec.blocks if eig == MINUS_ONE)
     odd = any(size % 2 for size in plus + minus)
     parity_value = sum(size % 4 == 2 for size in plus + minus) + (spec.n - sum(plus + minus)) // 2
     return StrongReversibilityReport(
-        reversible=pairing.reversible,
-        strongly_reversible=pairing.reversible and (odd or parity_value % 2 == 0),
+        reversible=reversible,
+        strongly_reversible=reversible and (odd or parity_value % 2 == 0),
+        pairs=pairs,
+        singletons=singletons,
+        failure_witness=failure_witness,
         plus_sizes=plus,
         minus_sizes=minus,
         odd_block_present=odd,
         parity_value=parity_value,
         parity_even=parity_value % 2 == 0,
-        pairing=pairing,
     )
 
 
@@ -329,9 +330,9 @@ class TestClassify:
 
     def test_reports_are_frozen(self):
         report = classify(spec_of((1, 2), (2, 1), (HALF, 1)))
-        for target, name in ((report, "parity_value"), (report.pairing, "pairs")):
+        for name in ("parity_value", "pairs"):
             with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(target, name, None)
+                setattr(report, name, None)
 
     def test_three_doubled_unipotent_blocks(self):
         report = classify(spec_of((1, 2), (1, 2), (1, 2)))
@@ -468,7 +469,7 @@ class TestSlReverserWitness:
                 blocks.append((rng.choice(pool), size))
                 remaining -= size
             spec = JordanSpec(blocks)
-            if not pair_blocks(spec).reversible:
+            if not classify(spec).reversible:
                 continue
             count += 1
             bundle = sl_reverser_witness(spec)
@@ -535,7 +536,7 @@ class TestHomogeneousUnipotentDetLaw:
             report = classify(spec)
             assert report.reversible and not report.strongly_reversible
             a = jordan_matrix(spec)
-            for g in iter_involutive_reversers(spec, report.pairing):
+            for g in iter_involutive_reversers(spec, report):
                 assert (g * g).is_identity()
                 assert g * a * g == a.inverse()
                 assert g.det() == MINUS_ONE
@@ -547,9 +548,9 @@ class TestHomogeneousUnipotentDetLaw:
         spec = spec_of((1, 2), (1, 2), (2, 1), (HALF, 1))
         report = classify(spec)
         assert report.reversible and not report.strongly_reversible
-        assert len(report.pairing.singletons) == 2 and len(report.pairing.pairs) == 1
+        assert len(report.singletons) == 2 and len(report.pairs) == 1
         a = jordan_matrix(spec)
-        reversers = list(iter_involutive_reversers(spec, report.pairing))
+        reversers = list(iter_involutive_reversers(spec, report))
         assert len(reversers) == 16 and len(set(reversers)) == 16
         for g in reversers:
             vr = check_witness(a, g)

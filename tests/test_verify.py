@@ -538,22 +538,22 @@ class TestIterPartitions:
             assert all(sum(p) == n for p in parts)
 
 
-def _scale_by_scale_reversers(spec, pairing) -> list[ExactMatrix]:
+def _scale_by_scale_reversers(spec, report) -> list[ExactMatrix]:
     """The involutive reverser family rebuilt for every choice of scales:
     scales[idx] * R(lam, d) for each block idx = (lam, d), placed at
     (idx, partner), over the +-1 signs of the singletons and the unit pairs
     (u, 1/u) of the pairs."""
-    partner = {idx: idx for idx in pairing.singletons}
-    for i, j in pairing.pairs:
+    partner = {idx: idx for idx in report.singletons}
+    for i, j in report.pairs:
         partner[i], partner[j] = j, i
     starts = [sum(size for _, size in spec.blocks[:idx]) for idx in range(len(spec.blocks))]
     scales = [ONE] * len(spec.blocks)
     out = []
-    for signs in itertools.product((ONE, MINUS_ONE), repeat=len(pairing.singletons)):
-        for idx, sign in zip(pairing.singletons, signs):
+    for signs in itertools.product((ONE, MINUS_ONE), repeat=len(report.singletons)):
+        for idx, sign in zip(report.singletons, signs):
             scales[idx] = sign
-        for combo in itertools.product((ONE, MINUS_ONE, I, -I), repeat=len(pairing.pairs)):
-            for (i, j), u in zip(pairing.pairs, combo):
+        for combo in itertools.product((ONE, MINUS_ONE, I, -I), repeat=len(report.pairs)):
+            for (i, j), u in zip(report.pairs, combo):
                 scales[i], scales[j] = u, u.inverse()
             placements = [
                 (starts[idx], starts[partner[idx]], scales[idx] * jordan_reverser(eig, size))
@@ -571,8 +571,8 @@ def test_reverser_family_matches_scale_by_scale_construction():
             continue
         # materialized before comparing, so a row shared between two
         # yielded matrices would show up as a mismatch
-        family = list(iter_involutive_reversers(spec, report.pairing))
-        assert family == _scale_by_scale_reversers(spec, report.pairing)
+        family = list(iter_involutive_reversers(spec, report))
+        assert family == _scale_by_scale_reversers(spec, report)
         checked += len(family)
     assert checked > 0
 
@@ -755,7 +755,7 @@ class TestExhaustiveModuleInvariant:
 
 
 def _report_fields(report) -> dict:
-    witness = report.pairing.failure_witness
+    witness = report.failure_witness
     return {
         "reversible": report.reversible,
         "strongly_reversible": report.strongly_reversible,
@@ -766,8 +766,8 @@ def _report_fields(report) -> dict:
         "odd": report.odd_block_present,
         "parity_value": report.parity_value,
         "parity_even": report.parity_even,
-        "pairs": [list(pair) for pair in report.pairing.pairs],
-        "singletons": list(report.pairing.singletons),
+        "pairs": [list(pair) for pair in report.pairs],
+        "singletons": list(report.singletons),
         "witness": None if witness is None else [str(witness[0]), witness[1]],
     }
 
@@ -803,6 +803,37 @@ def test_sweep_classifies_each_spec_once(monkeypatch):
     summary = classification_sweep(SpecGenerator(6, DEFAULT_POOL))
     assert summary["failures"] == []
     assert calls == summary["cases"]
+
+
+def test_rejected_witness_raises_and_the_sweep_records_it(monkeypatch):
+    """A constructed witness that check_witness rejects never reaches a
+    caller: both constructors raise, and the sweep records the raise as a
+    failure of its spec instead of counting a verified witness."""
+    real = reversal_module.check_witness
+
+    def rejecting(a, g):
+        return dataclasses.replace(real(a, g), reverses=False)
+
+    monkeypatch.setattr(reversal_module, "check_witness", rejecting)
+    message = "internal error: constructed witness failed verification"
+    strong, reversible_only = JordanSpec([(ONE, 3)]), JordanSpec([(ONE, 2)])
+    for construct, spec in (
+        (involutive_witness, strong),
+        (sl_reverser_witness, strong),
+        (sl_reverser_witness, reversible_only),
+    ):
+        with pytest.raises(RuntimeError, match=message):
+            construct(spec)
+
+    gen = SpecGenerator(4, (ONE, MINUS_ONE, G(2), HALF))
+    expected = [s.to_json_dict() for s in gen.specs() if classify(s).strongly_reversible]
+    summary = classification_sweep(gen)
+    assert summary["strongly_reversible"] == len(expected) > 0
+    assert summary["witnesses_verified"] == 0
+    assert [f["spec"] for f in summary["failures"]] == expected
+    assert all(
+        f["problem"].startswith(f"RuntimeError('{message}") for f in summary["failures"]
+    )
 
 
 def _bundle_record(construct, spec) -> list:
