@@ -18,7 +18,13 @@ import sys
 
 from . import reversal, verify
 from .canonical import JordanSpec, weyr_form
-from .matrices import ExactMatrix, SingularMatrixError, _square_difference, format_grid
+from .matrices import (
+    ExactMatrix,
+    SingularMatrixError,
+    _run_ends,
+    _square_difference,
+    format_grid,
+)
 from .partitions import Partition
 from .scalars import as_int
 
@@ -298,7 +304,8 @@ def witness_text(p: dict) -> str:
     if not report["involution"]:
         g = ExactMatrix.from_json_dict(p["g"])
         a = ExactMatrix.from_json_dict(p["a"]) if report["reverses"] else None
-        if _square_difference(g, a, -1) is None:
+        ends = None if a is None else _run_ends(a)
+        if _square_difference(g, -1, a, ends) is None:
             lines.append("note: g squares to -I")
     lines += [f"  {line}" for line in p["transcript"]]
     return "\n".join(lines)

@@ -14,6 +14,7 @@ from typing import Iterable, Sequence
 
 from .scalars import (
     GaussianRational,
+    MINUS_ONE,
     ONE,
     ZERO,
     as_int,
@@ -131,6 +132,45 @@ def _eliminate(re: list[list[int]], im: list[list[int]], den: list[int], n: int)
             if re[r][col] or im[r][col]:
                 _clear(re, im, den, r, col)
     return sign
+
+
+def _product(
+    a_re: list[list[int]], a_im: list[list[int]], b_re: list[list[int]], b_im: list[list[int]]
+) -> tuple[list[list[int]], list[list[int]]]:
+    """Real and imaginary rows of the product of the integer matrices
+    a_re + a_im*i and b_re + b_im*i, given as rows of equal length."""
+    width = len(b_re[0])
+    cols, inner = range(width), range(len(b_re))
+    # The columns of the nonzeros in each row of b, found once; a zero
+    # imaginary part, in a row of a or in all of b, skips half the work.
+    b_re = [(list(itertools.compress(cols, row)), row) for row in b_re]
+    imag = any(map(any, b_im))
+    b_im = [(list(itertools.compress(cols, row)), row) for row in b_im] if imag else None
+    out_re, out_im = [], []
+    for arow, irow in zip(a_re, a_im):
+        cr, ci = [0] * width, [0] * width
+        for k in itertools.compress(inner, arow):
+            x = arow[k]
+            js, brow = b_re[k]
+            for j in js:
+                cr[j] += x * brow[j]
+            if imag:
+                js, brow = b_im[k]
+                for j in js:
+                    ci[j] += x * brow[j]
+        if any(irow):
+            for k in itertools.compress(inner, irow):
+                y = irow[k]
+                js, brow = b_re[k]
+                for j in js:
+                    ci[j] += y * brow[j]
+                if imag:
+                    js, brow = b_im[k]
+                    for j in js:
+                        cr[j] -= y * brow[j]
+        out_re.append(cr)
+        out_im.append(ci)
+    return out_re, out_im
 
 
 @dataclass(frozen=True, slots=True)
@@ -288,29 +328,9 @@ class ExactMatrix:
             raise ValueError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        # The nonzero real and imaginary numerators of each row of other,
-        # found once; an entry with a zero imaginary part skips half the work.
-        b_re = [[(j, v) for j, v in enumerate(row) if v] for row in other._re]
-        b_im = [[(j, v) for j, v in enumerate(row) if v] for row in other._im]
-        width = other.cols
-        out_re, out_im = [], []
-        for arow, irow in zip(self._re, self._im):
-            cr = [0] * width
-            ci = [0] * width
-            for x, y, bre, bim in zip(arow, irow, b_re, b_im):
-                if x:
-                    for j, v in bre:
-                        cr[j] += x * v
-                    for j, v in bim:
-                        ci[j] += x * v
-                if y:
-                    for j, v in bre:
-                        ci[j] += y * v
-                    for j, v in bim:
-                        cr[j] -= y * v
-            out_re.append(cr)
-            out_im.append(ci)
-        return ExactMatrix.from_numerators(out_re, out_im, self._d * other._d)
+        return ExactMatrix.from_numerators(
+            *_product(self._re, self._im, other._re, other._im), self._d * other._d
+        )
 
     def _numerator_rows(self, extra: int = 0) -> tuple[list[list[int]], list[list[int]]]:
         """Fresh copies of the numerator rows, each followed by ``extra``
@@ -444,22 +464,28 @@ def _identity_difference(m: ExactMatrix, sign: int = 1) -> tuple[int, int] | Non
 
 def _run_ends(a: ExactMatrix) -> list[int] | None:
     """The last index of each maximal run of indices joined by nonzero
-    superdiagonal entries of a, if a is upper bidiagonal and some run is
-    longer than one index; None otherwise."""
+    superdiagonal entries of a, if a is upper bidiagonal; None otherwise.
+
+    An upper bidiagonal a is triangular, so it is singular exactly when a
+    diagonal entry is zero; the same scan reads the diagonal and raises
+    SingularMatrixError then."""
     n = a.cols
-    ends = [i for i, r, m in zip(range(n - 1), a._re, a._im) if not (r[i + 1] or m[i + 1])]
-    if len(ends) == n - 1:
-        return None
+    ends, singular = [], False
     for i, (row_re, row_im) in enumerate(zip(a._re, a._im)):
-        s_re, s_im = (row_re[i + 1], row_im[i + 1]) if i + 1 < n else (0, 0)
+        x, y = row_re[i], row_im[i]
+        u, v = (row_re[i + 1], row_im[i + 1]) if i + 1 < n else (0, 0)
         # Zeros plus the nonzeros at i and i + 1 make the whole row exactly
         # when every nonzero lies at i or i + 1.
         if (
-            row_re.count(0) + (row_re[i] != 0) + (s_re != 0) != n
-            or row_im.count(0) + (row_im[i] != 0) + (s_im != 0) != n
+            row_re.count(0) + (x != 0) + (u != 0) != n
+            or row_im.count(0) + (y != 0) + (v != 0) != n
         ):
             return None
-    ends.append(n - 1)
+        if not (u or v):
+            ends.append(i)
+        singular = singular or not (x or y)
+    if singular:
+        raise SingularMatrixError("matrix is singular")
     return ends
 
 
@@ -502,19 +528,18 @@ def _lowered(
 
 
 def _square_difference(
-    g: ExactMatrix, a: ExactMatrix | None = None, sign: int = 1
+    g: ExactMatrix, sign: int = 1, a: ExactMatrix | None = None, ends: list[int] | None = None
 ) -> tuple[int, int] | None:
     """first_difference of g * g and sign * I (sign 1 or -1).
 
-    Pass a only if g reverses it: a and g invertible and a g a = g.  Then,
-    for an upper bidiagonal a that is not diagonal, only the run-end
-    columns of g^2 are computed, and the other columns of a run whose end
-    column fails follow from it in O(n) each; see check_witness for why
-    that decides g^2 = sign * I and finds its first difference.  Otherwise
-    the dense g * g is compared.
+    Pass a and its run ends ends = _run_ends(a) only if a is invertible and
+    a g a = g.  Then, unless a is diagonal, only the run-end columns of g^2
+    are computed, and the other columns of a run whose end column fails
+    follow from it in O(n) each; see check_witness for why that decides
+    g^2 = sign * I and finds its first difference.  Otherwise the dense
+    g * g is compared.
     """
-    ends = None if a is None else _run_ends(a)
-    if ends is None:
+    if ends is None or len(ends) == g.rows:
         return _identity_difference(g * g, sign)
     cols_re = list(zip(*g._re))
     cols_im = list(zip(*g._im)) if any(map(any, g._im)) else None
@@ -674,18 +699,45 @@ class VerificationReport:
         }
 
 
+def _reverses(a: ExactMatrix, g: ExactMatrix) -> bool:
+    """a g a == g, decided on the numerators A = d_a a and G = d_g g as
+    A (G A) == d_a^2 G, with no matrix built and nothing normalized."""
+    re, im = _product(a._re, a._im, *_product(g._re, g._im, a._re, a._im))
+    s = a._d * a._d
+    if s == 1:
+        return re == g._re and im == g._im
+    return all(
+        x == [s * v for v in u] and y == [s * v for v in w]
+        for x, y, u, w in zip(re, im, g._re, g._im)
+    )
+
+
+def _involution_det(g: ExactMatrix) -> GaussianRational:
+    """det g for a g with g^2 = I.  Every eigenvalue of g is 1 or -1, so
+    tr g = n - 2m for the number m of eigenvalues -1, and det g = (-1)^m."""
+    n, d = g.rows, g._d
+    m, rest = divmod(n * d - sum(row[i] for i, row in enumerate(g._re)), 2 * d)
+    if rest or sum(row[i] for i, row in enumerate(g._im)):
+        raise RuntimeError("internal error: an involution with a trace that is not an integer")
+    return MINUS_ONE if m % 2 else ONE
+
+
 def check_witness(a: ExactMatrix, g: ExactMatrix) -> VerificationReport:
     """Decide g a g^{-1} == a^{-1}, g^2 == I and det g exactly.
 
+    a must be invertible; an upper bidiagonal a is, exactly when its
+    diagonal has no zero, and any other a is checked by its determinant.
     For invertible a and g the reversal identity is equivalent to
-    a g a == g, so a passing check inverts nothing.  Only a failed reversal
-    check inverts both matrices, to report the first entry where
-    g a g^{-1} and a^{-1} differ.
+    a g a == g, which is decided first, on the numerators, and inverts
+    nothing.  Only a failed reversal check with an invertible g inverts
+    both matrices, to report the first entry where g a g^{-1} and a^{-1}
+    differ.
 
-    Once g reverses a, g^2 = I is decided on a few columns when a is upper
-    bidiagonal.  Lemma: g a g^{-1} = a^{-1} gives g^2 a g^{-2} = a, so
-    c = g^2 commutes with a.  Split the indices into maximal runs p..q
-    joined by nonzero superdiagonal entries.  Within a run
+    Once a g a = g holds, g^2 = I is decided on a few columns when a is
+    upper bidiagonal.  Lemma: a g a = g gives g a = a^{-1} g and
+    a g = g a^{-1}, so g^2 a = g a^{-1} g = a g^2, and c = g^2 commutes
+    with a; g need not be invertible.  Split the indices into maximal runs
+    p..q joined by nonzero superdiagonal entries.  Within a run
     (a - a_jj) e_j = a_{j-1,j} e_{j-1}, so every e_j of the run is a
     polynomial in a applied to e_q, and c e_q = e_q makes every column of
     the run an identity column.  So column q of g^2 is computed at each run
@@ -693,27 +745,29 @@ def check_witness(a: ExactMatrix, g: ExactMatrix) -> VerificationReport:
     (c - I) e_{j-1} as a nonzero multiple of (a - a_jj)(c - I) e_j, which
     locates the first differing row of every column of the run in O(n)
     each; the least (row, column) among them is the first difference of
-    g^2 and I.  The dense g * g is compared instead when g does not reverse
-    a, when a is not upper bidiagonal, or when a is diagonal (every run
-    has length 1).
+    g^2 and I.  The dense g * g is compared instead when a g a != g, when
+    a is not upper bidiagonal, or when a is diagonal (every run has
+    length 1).
+
+    An involution has eigenvalues 1 and -1 only, so its determinant is
+    read from its trace; only a g with g^2 != I is eliminated for det g,
+    and a singular g fails the reversal check with no position.
     """
     if not a.is_square() or not g.is_square() or a.rows != g.rows:
         raise ValueError("dimension mismatch between matrix and candidate reverser")
-    if not a.det():
+    ends = _run_ends(a)
+    if ends is None and not a.det():
         raise SingularMatrixError("matrix is singular")
+    reverses = _reverses(a, g)
+    pos = _square_difference(g, 1, a, ends) if reverses else _square_difference(g)
+    det = _involution_det(g) if pos is None else g.det()
     residuals: list[tuple[str, tuple[int, int] | None]] = []
-    det = g.det()
     if not det:
         reverses = False
         residuals.append(("reverses", None))
-    else:
-        ga = g * a
-        reverses = a * ga == g
-        if not reverses:
-            i, j = (ga * g.inverse()).first_difference(a.inverse())
-            residuals.append(("reverses", (i + 1, j + 1)))
-    pos = _square_difference(g, a if reverses else None)
-    involution = pos is None
+    elif not reverses:
+        i, j = (g * a * g.inverse()).first_difference(a.inverse())
+        residuals.append(("reverses", (i + 1, j + 1)))
     if pos is not None:
         residuals.append(("involution", (pos[0] + 1, pos[1] + 1)))
-    return VerificationReport(reverses, involution, det, det == ONE, tuple(residuals))
+    return VerificationReport(reverses, pos is None, det, det == ONE, tuple(residuals))

@@ -8,7 +8,7 @@ from fractions import Fraction
 import random
 import re
 
-from strongrev.matrices import ExactMatrix
+from strongrev.matrices import ExactMatrix, SingularMatrixError, VerificationReport
 from strongrev.scalars import GaussianRational, MINUS_ONE, ONE, ScalarParseError, ZERO
 
 
@@ -47,6 +47,35 @@ def dense_square_difference(
             if total != (sign if i == j else ZERO):
                 return (i, j)
     return None
+
+
+def reference_check_witness(a: ExactMatrix, g: ExactMatrix) -> VerificationReport:
+    """check_witness as first written, from public operations only: the
+    determinants first (by cofactors up to n = 6), then a*(g*a) == g, the
+    first difference of g a g^{-1} and a^{-1} if that fails for an
+    invertible g, and the dense square of g."""
+
+    def det(m: ExactMatrix) -> GaussianRational:
+        return laplace_det(m) if m.rows <= 6 else m.det()
+
+    if not a.is_square() or not g.is_square() or a.rows != g.rows:
+        raise ValueError("dimension mismatch between matrix and candidate reverser")
+    if not det(a):
+        raise SingularMatrixError("matrix is singular")
+    residuals = []
+    d = det(g)
+    if not d:
+        reverses = False
+        residuals.append(("reverses", None))
+    else:
+        reverses = a * (g * a) == g
+        if not reverses:
+            i, j = (g * a * g.inverse()).first_difference(a.inverse())
+            residuals.append(("reverses", (i + 1, j + 1)))
+    pos = dense_square_difference(g)
+    if pos is not None:
+        residuals.append(("involution", (pos[0] + 1, pos[1] + 1)))
+    return VerificationReport(reverses, pos is None, d, d == ONE, tuple(residuals))
 
 
 _RAT = r"-?\d+(?:/\d+)?"

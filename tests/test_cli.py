@@ -186,6 +186,21 @@ class TestVerify:
         g = matrix_file(tmp_path, ExactMatrix.identity(3), "g.json")
         assert main(["verify", "--matrix-a", a, "--matrix-g", g]) == 3
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[1, 1, 0], [0, 0, 1], [0, 0, 2]],  # upper bidiagonal: read from its diagonal
+            [[1, 1, 0], [1, 1, 0], [0, 0, 1]],  # eliminated
+        ],
+    )
+    def test_singular_first_matrix_exits_3(self, tmp_path, capsys, rows):
+        a = matrix_file(tmp_path, ExactMatrix(rows), "a.json")
+        g = matrix_file(tmp_path, ExactMatrix.identity(3), "g.json")
+        assert main(["verify", "--matrix-a", a, "--matrix-g", g]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: first matrix must be invertible: matrix is singular\n"
+
     def test_shaped_six_by_six_reverser(self, tmp_path, capsys):
         def expand(row):
             return [0, -row[0], 0, -row[2], 0, -row[4]]

@@ -7,7 +7,14 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import class_counts, dense_square_difference, random_nonzero_scalar, random_scalar
+from oracles import (
+    class_counts,
+    dense_square_difference,
+    random_nonzero_scalar,
+    random_scalar,
+    reference_check_witness,
+)
+import strongrev.matrices as matrices_module
 import strongrev.reversal as reversal_module
 import strongrev.verify as verify_module
 from strongrev.canonical import JordanSpec, jordan_block, jordan_matrix
@@ -15,6 +22,7 @@ from strongrev.matrices import (
     ExactMatrix,
     PermutationMap,
     SingularMatrixError,
+    _run_ends,
     _square_difference,
     direct_sum,
     offsets,
@@ -341,7 +349,8 @@ class TestRunEndInvolutionCheck:
             )
             g = p * s * p.inverse()
             assert self.agrees(a, g).reverses
-            assert _square_difference(g, a, -1) == dense_square_difference(g, MINUS_ONE)
+            ends = _run_ends(a)
+            assert _square_difference(g, -1, a, ends) == dense_square_difference(g, MINUS_ONE)
 
     @pytest.mark.parametrize(
         "blocks",
@@ -359,7 +368,8 @@ class TestRunEndInvolutionCheck:
         assert bundle.reverses and not bundle.is_involution
         self.agrees(bundle.a, bundle.g)
         for a, g in [(bundle.a, bundle.g), _rescaled(bundle.a, bundle.g, random.Random(1))]:
-            assert _square_difference(g, a, -1) == dense_square_difference(g, MINUS_ONE)
+            ends = _run_ends(a)
+            assert _square_difference(g, -1, a, ends) == dense_square_difference(g, MINUS_ONE)
 
     def test_diagonal_a_with_dense_g(self):
         # g commutes with a = a^-1, so it reverses a; a diagonal a has only
@@ -428,6 +438,171 @@ class TestRunEndInvolutionCheck:
         # the dense fallback is what the counter sees
         assert check_witness(ExactMatrix.diagonal([1, -1]), ExactMatrix.identity(2)).all_good()
         assert squares == [2]
+
+
+def _sweep_reversers(max_n: int, pool):
+    """(a, g) for every involutive reverser a sweep checks: the witness of
+    each strongly reversible spec and iter_involutive_reversers of each
+    reversible-only spec; and the --sl-only witness bundle of each
+    reversible-only spec."""
+    involutive, sl_only = [], []
+    for spec in SpecGenerator(max_n, pool).specs():
+        report = classify(spec)
+        if report.strongly_reversible:
+            bundle = involutive_witness(spec)
+            involutive.append((bundle.a, bundle.g))
+        elif report.reversible:
+            a = jordan_matrix(spec)
+            involutive += [(a, g) for g in iter_involutive_reversers(spec, report)]
+            sl_only.append(sl_reverser_witness(spec))
+    return involutive, sl_only
+
+
+class TestCheckWitnessMatchesReference:
+    """check_witness decides reversal first, reads det g from the trace of
+    an involution and the nonsingularity of an upper bidiagonal a from its
+    diagonal; every report must be that of the reference check, which
+    eliminates for both determinants and squares g densely."""
+
+    @pytest.fixture(scope="class")
+    def reversers(self):
+        return _sweep_reversers(5, MIXED_POOL)
+
+    @staticmethod
+    def same(a, g):
+        report = check_witness(a, g)
+        assert report == reference_check_witness(a, g)
+        return report
+
+    @staticmethod
+    def conjugated(a, g, rng):
+        """P a P^-1 and P g P^-1 for a random permutation P."""
+        images = list(range(1, a.rows + 1))
+        rng.shuffle(images)
+        p = PermutationMap(images)
+        return p.conjugate(a), p.conjugate(g)
+
+    def test_sweep_reversers_and_their_conjugates(self, reversers):
+        involutive, _ = reversers
+        rng = random.Random(18)
+        assert len(involutive) == 132
+        bidiagonal = 0
+        for a, g in involutive:
+            report = self.same(a, g)
+            assert report.reverses and report.involution
+            b, h = self.conjugated(a, g, rng)
+            bidiagonal += matrices_module._run_ends(b) is not None
+            assert self.same(b, h) == report
+        # most conjugates are not upper bidiagonal, so a's determinant is eliminated
+        assert bidiagonal < len(involutive) // 2
+
+    def test_sl_only_witnesses_that_square_to_minus_identity(self, reversers):
+        rng = random.Random(6)
+        bundles = reversers[1] + [sl_reverser_witness(JordanSpec([(ONE, 6)]))]
+        for bundle in bundles:
+            assert _square_difference(bundle.g, -1) is None
+            report = self.same(bundle.a, bundle.g)
+            assert report.reverses and not report.involution and report.determinant == ONE
+            self.same(*self.conjugated(bundle.a, bundle.g, rng))
+
+    def test_copies_with_one_entry_changed(self, reversers):
+        involutive, sl_only = reversers
+        rng = random.Random(9)
+        pairs = involutive + [(b.a, b.g) for b in sl_only]
+        failed = {"reverses": 0, "involution": 0}
+        for a, g in pairs:
+            i, j = rng.randrange(g.rows), rng.randrange(g.cols)
+            delta = rng.choice([ONE, MINUS_ONE, I, HALF])
+            rows = [list(row) for row in g.entries]
+            rows[i][j] = rows[i][j] + delta
+            report = self.same(a, ExactMatrix(rows))
+            failed["reverses"] += not report.reverses
+            failed["involution"] += not report.involution
+            rows = [list(row) for row in a.entries]
+            rows[i][j] = rows[i][j] + delta
+            changed = ExactMatrix(rows)
+            try:
+                self.same(changed, g)
+            except SingularMatrixError:
+                with pytest.raises(SingularMatrixError):
+                    reference_check_witness(changed, g)
+        assert failed["reverses"] >= 90 and failed["involution"] >= 100
+
+    @pytest.mark.parametrize(
+        "a, g",
+        [
+            (ExactMatrix.identity(2), ExactMatrix([[0, 1], [0, 0]])),
+            (ExactMatrix.identity(2), ExactMatrix([[0, 0], [0, 0]])),
+            (jordan_block(ONE, 2), ExactMatrix([[0, 1], [0, 0]])),
+        ],
+    )
+    def test_singular_g_with_a_g_a_equal_to_g(self, a, g):
+        assert a * g * a == g
+        report = self.same(a, g)
+        assert not report.reverses and report.determinant == ZERO
+        assert report.residuals == (("reverses", None), ("involution", (1, 1)))
+
+
+class TestEliminations:
+    """Which checks still run an elimination."""
+
+    @pytest.fixture
+    def eliminations(self, monkeypatch):
+        calls = []
+        eliminate, det = matrices_module._eliminate, ExactMatrix.det
+
+        def counting_eliminate(*args):
+            calls.append("eliminate")
+            return eliminate(*args)
+
+        def counting_det(self):
+            calls.append("det")
+            return det(self)
+
+        monkeypatch.setattr(matrices_module, "_eliminate", counting_eliminate)
+        monkeypatch.setattr(ExactMatrix, "det", counting_det)
+        return calls
+
+    def test_involution_on_a_bidiagonal_a_eliminates_nothing(self, eliminations):
+        bundle = involutive_witness(JordanSpec([(G(1), 5), (G(-1), 3), (G(2), 2), (HALF, 2)]))
+        eliminations.clear()
+        assert check_witness(bundle.a, bundle.g).all_good()
+        assert eliminations == []
+        # a diagonal a is upper bidiagonal too
+        report = check_witness(ExactMatrix.diagonal([1, -1]), ExactMatrix.diagonal([1, -1]))
+        assert report.involution and report.determinant == MINUS_ONE
+        assert eliminations == []
+
+    def test_non_involution_and_non_bidiagonal_a_still_eliminate(self, eliminations):
+        bundle = sl_reverser_witness(JordanSpec([(ONE, 6)]))
+        eliminations.clear()
+        # g^2 = -I: det g is eliminated, a's diagonal decides that a is invertible
+        report = check_witness(bundle.a, bundle.g)
+        assert report.reverses and not report.involution and report.determinant == ONE
+        assert eliminations == ["det", "eliminate"]
+        # the reversed order makes a lower bidiagonal: det a is eliminated,
+        # det g still comes from the trace
+        witness = involutive_witness(JordanSpec([(ONE, 3), (G(2), 2), (HALF, 2)]))
+        p = PermutationMap(range(7, 0, -1))
+        eliminations.clear()
+        assert check_witness(p.conjugate(witness.a), p.conjugate(witness.g)).all_good()
+        assert eliminations == ["det", "eliminate"]
+
+    def test_singular_bidiagonal_a_raises_before_any_work_on_g(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("work beyond reading the diagonal of a")
+
+        monkeypatch.setattr(matrices_module, "_eliminate", refuse)
+        monkeypatch.setattr(matrices_module, "_product", refuse)
+        monkeypatch.setattr(ExactMatrix, "__mul__", refuse)
+        for a in (
+            ExactMatrix([[1, 1, 0], [0, 0, 1], [0, 0, 2]]),
+            ExactMatrix([[1, I, 0], [0, 2, 0], [0, 0, 0]]),
+            ExactMatrix.diagonal([0, 1, 1]),
+        ):
+            for g in (ExactMatrix.identity(3), PermutationMap([3, 2, 1]).matrix()):
+                with pytest.raises(SingularMatrixError, match="^matrix is singular$"):
+                    check_witness(a, g)
 
 
 class TestSpecGenerator:
