@@ -3,7 +3,7 @@ conjugacy classes given by Jordan data over the Gaussian rationals."""
 
 from .scalars import GaussianRational, ScalarParseError, parse
 from .matrices import ExactMatrix, PermutationMap, SingularMatrixError, direct_sum
-from .partitions import Partition, PartitionSets, binomial, parity_sets
+from .partitions import Partition, PartitionSets, parity_sets
 from .canonical import (
     JordanSpec,
     WeyrForm,

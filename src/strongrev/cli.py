@@ -21,7 +21,7 @@ from .canonical import JordanSpec, weyr_form
 from .matrices import (
     ExactMatrix,
     SingularMatrixError,
-    _run_ends,
+    _run_starts,
     _square_difference,
     format_grid,
 )
@@ -303,9 +303,8 @@ def witness_text(p: dict) -> str:
     ]
     if not report["involution"]:
         g = ExactMatrix.from_json_dict(p["g"])
-        a = ExactMatrix.from_json_dict(p["a"]) if report["reverses"] else None
-        ends = None if a is None else _run_ends(a)
-        if _square_difference(g, -1, a, ends) is None:
+        starts = _run_starts(ExactMatrix.from_json_dict(p["a"])) if report["reverses"] else None
+        if _square_difference(g, -1, starts) is None:
             lines.append("note: g squares to -I")
     lines += [f"  {line}" for line in p["transcript"]]
     return "\n".join(lines)

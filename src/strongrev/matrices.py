@@ -385,7 +385,7 @@ class ExactMatrix:
         return ExactMatrix.from_numerators(out_re, out_im, common)
 
     def is_identity(self) -> bool:
-        return self.is_square() and _identity_difference(self) is None
+        return self == ExactMatrix.identity(self.rows)
 
     def to_json_dict(self) -> dict:
         return {
@@ -449,28 +449,15 @@ def _fill(m: ExactMatrix, re: list[list[int]], im: list[list[int]], d: int) -> N
     set_field(m, "_d", d)
 
 
-def _identity_difference(m: ExactMatrix, sign: int = 1) -> tuple[int, int] | None:
-    """first_difference of the square m and sign * I (sign 1 or -1), without
-    building it: over the denominator d, sign * I has sign * d on the
-    diagonal."""
-    d, zeros = sign * m._d, m.cols - 1
-    for i, (row_re, row_im) in enumerate(zip(m._re, m._im)):
-        if row_re[i] != d or row_re.count(0) != zeros or any(row_im):
-            for j, (x, y) in enumerate(zip(row_re, row_im)):
-                if y or x != (d if i == j else 0):
-                    return (i, j)
-    return None
-
-
-def _run_ends(a: ExactMatrix) -> list[int] | None:
-    """The last index of each maximal run of indices joined by nonzero
+def _run_starts(a: ExactMatrix) -> list[int] | None:
+    """The first index of each maximal run of indices joined by nonzero
     superdiagonal entries of a, if a is upper bidiagonal; None otherwise.
 
     An upper bidiagonal a is triangular, so it is singular exactly when a
     diagonal entry is zero; the same scan reads the diagonal and raises
     SingularMatrixError then."""
     n = a.cols
-    ends, singular = [], False
+    starts, singular = [0], False
     for i, (row_re, row_im) in enumerate(zip(a._re, a._im)):
         x, y = row_re[i], row_im[i]
         u, v = (row_re[i + 1], row_im[i + 1]) if i + 1 < n else (0, 0)
@@ -481,83 +468,34 @@ def _run_ends(a: ExactMatrix) -> list[int] | None:
             or row_im.count(0) + (y != 0) + (v != 0) != n
         ):
             return None
-        if not (u or v):
-            ends.append(i)
+        if i + 1 < n and not (u or v):
+            starts.append(i + 1)
         singular = singular or not (x or y)
     if singular:
         raise SingularMatrixError("matrix is singular")
-    return ends
-
-
-def _square_column(
-    cols_re: list[tuple[int, ...]], cols_im: list[tuple[int, ...]] | None, q: int
-) -> tuple[list[int], list[int]]:
-    """Column q of G*G, where cols_re[k] + cols_im[k]*i is column k of G
-    (cols_im None when G is real): the sum over k of G[k][q] * G[:, k]."""
-    n = len(cols_re)
-    cr, ci = [0] * n, [0] * n
-    for k, x in enumerate(cols_re[q]):
-        if x:
-            cr = [u + x * v for u, v in zip(cr, cols_re[k])]
-            if cols_im:
-                ci = [u + x * v for u, v in zip(ci, cols_im[k])]
-    if cols_im:
-        for k, y in enumerate(cols_im[q]):
-            if y:
-                ci = [u + y * v for u, v in zip(ci, cols_re[k])]
-                cr = [u - y * v for u, v in zip(cr, cols_im[k])]
-    return cr, ci
-
-
-def _lowered(
-    a: ExactMatrix, ur: list[int], ui: list[int], j: int
-) -> tuple[list[int], list[int]]:
-    """(A - A_jj) (ur + ui*i) for the numerators A of the upper bidiagonal a."""
-    xr, xi = a._re[j][j], a._im[j][j]
-    n = a.cols
-    out_re, out_im = [], []
-    for i, (row_re, row_im, u, v) in enumerate(zip(a._re, a._im, ur, ui)):
-        dr, di = row_re[i] - xr, row_im[i] - xi
-        x, y = dr * u - di * v, dr * v + di * u
-        if i + 1 < n:
-            sr, si, u1, v1 = row_re[i + 1], row_im[i + 1], ur[i + 1], ui[i + 1]
-            x, y = x + sr * u1 - si * v1, y + sr * v1 + si * u1
-        out_re.append(x)
-        out_im.append(y)
-    return out_re, out_im
+    return starts
 
 
 def _square_difference(
-    g: ExactMatrix, sign: int = 1, a: ExactMatrix | None = None, ends: list[int] | None = None
+    g: ExactMatrix, sign: int = 1, starts: list[int] | None = None
 ) -> tuple[int, int] | None:
-    """first_difference of g * g and sign * I (sign 1 or -1).
+    """first_difference of g * g and sign * I (sign 1 or -1), read from the
+    rows of g * g at the indices starts, or at every index if starts is None.
 
-    Pass a and its run ends ends = _run_ends(a) only if a is invertible and
-    a g a = g.  Then, unless a is diagonal, only the run-end columns of g^2
-    are computed, and the other columns of a run whose end column fails
-    follow from it in O(n) each; see check_witness for why that decides
-    g^2 = sign * I and finds its first difference.  Otherwise the dense
-    g * g is compared.
+    Pass starts = _run_starts(a) only if a is invertible and a g a = g;
+    check_witness shows why the rows at the run starts then decide
+    g^2 = sign * I, and why the first of them that differs holds the first
+    difference.
     """
-    if ends is None or len(ends) == g.rows:
-        return _identity_difference(g * g, sign)
-    cols_re = list(zip(*g._re))
-    cols_im = list(zip(*g._im)) if any(map(any, g._im)) else None
-    firsts = []  # (first differing row, column) of each differing column
-    start = 0
-    for q in ends:
-        # Column q of d^2 (g^2 - sign * I), then of each earlier column of
-        # the run in turn, up to a nonzero factor, while it is nonzero.
-        ur, ui = _square_column(cols_re, cols_im, q)
-        ur[q] -= sign * g._d * g._d
-        for j in range(q, start - 1, -1):
-            if not (any(ur) or any(ui)):
-                break
-            firsts.append((next(r for r, (x, y) in enumerate(zip(ur, ui)) if x or y), j))
-            if j > start:
-                ur, ui = _lowered(a, ur, ui, j)
-        start = q + 1
-    return min(firsts, default=None)
+    rows = range(g.rows) if starts is None else starts
+    out_re, out_im = _product([g._re[p] for p in rows], [g._im[p] for p in rows], g._re, g._im)
+    # Over the numerators G = d g, g^2 = sign * I reads G^2 = sign * d^2 * I.
+    s = sign * g._d * g._d
+    for p, row_re, row_im in zip(rows, out_re, out_im):
+        row_re[p] -= s
+        if any(row_re) or any(row_im):
+            return p, next(j for j, (x, y) in enumerate(zip(row_re, row_im)) if x or y)
+    return None
 
 
 def direct_sum(blocks: Sequence[ExactMatrix]) -> ExactMatrix:
@@ -733,21 +671,19 @@ def check_witness(a: ExactMatrix, g: ExactMatrix) -> VerificationReport:
     both matrices, to report the first entry where g a g^{-1} and a^{-1}
     differ.
 
-    Once a g a = g holds, g^2 = I is decided on a few columns when a is
+    Once a g a = g holds, g^2 = I is decided on a few rows of g^2 when a is
     upper bidiagonal.  Lemma: a g a = g gives g a = a^{-1} g and
     a g = g a^{-1}, so g^2 a = g a^{-1} g = a g^2, and c = g^2 commutes
     with a; g need not be invertible.  Split the indices into maximal runs
     p..q joined by nonzero superdiagonal entries.  Within a run
-    (a - a_jj) e_j = a_{j-1,j} e_{j-1}, so every e_j of the run is a
-    polynomial in a applied to e_q, and c e_q = e_q makes every column of
-    the run an identity column.  So column q of g^2 is computed at each run
-    end.  Where it differs from e_q, the same identity gives
-    (c - I) e_{j-1} as a nonzero multiple of (a - a_jj)(c - I) e_j, which
-    locates the first differing row of every column of the run in O(n)
-    each; the least (row, column) among them is the first difference of
-    g^2 and I.  The dense g * g is compared instead when a g a != g, when
-    a is not upper bidiagonal, or when a is diagonal (every run has
-    length 1).
+    e_{j+1}^T = e_j^T (a - a_jj) / a_{j,j+1}, so e_j^T c = (e_p^T c) P_j(a)
+    for a polynomial P_j with e_j^T = e_p^T P_j(a); a row p of c equal to
+    sign * e_p^T (sign 1 or -1) makes row j equal to sign * e_j^T
+    throughout the run.  So only the rows of g^2 at the run starts are
+    computed.  A failing start row p is the first differing row of its run,
+    so the first failing start row holds the first difference of g^2 and
+    I.  Every row of g^2 is computed when a g a != g or a is not
+    upper bidiagonal; a diagonal a has a run start at every index.
 
     An involution has eigenvalues 1 and -1 only, so its determinant is
     read from its trace; only a g with g^2 != I is eliminated for det g,
@@ -755,11 +691,11 @@ def check_witness(a: ExactMatrix, g: ExactMatrix) -> VerificationReport:
     """
     if not a.is_square() or not g.is_square() or a.rows != g.rows:
         raise ValueError("dimension mismatch between matrix and candidate reverser")
-    ends = _run_ends(a)
-    if ends is None and not a.det():
+    starts = _run_starts(a)
+    if starts is None and not a.det():
         raise SingularMatrixError("matrix is singular")
     reverses = _reverses(a, g)
-    pos = _square_difference(g, 1, a, ends) if reverses else _square_difference(g)
+    pos = _square_difference(g, 1, starts if reverses else None)
     det = _involution_det(g) if pos is None else g.det()
     residuals: list[tuple[str, tuple[int, int] | None]] = []
     if not det:

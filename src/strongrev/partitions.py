@@ -7,13 +7,12 @@ total multiplicity carried by the singly even sizes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .scalars import as_int
 
-__all__ = ["Partition", "PartitionSets", "parity_sets", "binomial"]
+__all__ = ["Partition", "PartitionSets", "parity_sets"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -125,9 +124,3 @@ def parity_sets(p: Partition) -> PartitionSets:
     weight = sum(mult[d] for d in singly_even)
     return PartitionSets(sizes, even, odd, singly_even, weight)
 
-
-def binomial(n: int, k: int) -> int:
-    """Exact binomial coefficient, zero outside 0 <= k <= n."""
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)

@@ -8,12 +8,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from oracles import laplace_det
 from strongrev import matrices
-from strongrev.canonical import jordan_block
+from strongrev.canonical import JordanSpec, jordan_block, jordan_matrix
 from strongrev.matrices import (
     ExactMatrix,
     PermutationMap,
     SingularMatrixError,
     _eliminate,
+    _run_starts,
     direct_sum,
 )
 from strongrev.reversal import jordan_reverser
@@ -179,6 +180,41 @@ class TestDirectSum:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             direct_sum([ExactMatrix([[1, 2]])])
+
+
+class TestRunStarts:
+    """_run_starts: the first index of each run of nonzero superdiagonal
+    entries of an upper bidiagonal matrix, None for any other matrix."""
+
+    def test_diagonal_starts_everywhere(self):
+        assert _run_starts(ExactMatrix.diagonal([1, -1, 2, G(0, 1)])) == [0, 1, 2, 3]
+
+    def test_jordan_blocks(self):
+        blocks = [(G(1), 3), (G(2), 2), (G(Fraction(1, 2)), 2)]
+        a = direct_sum([jordan_block(lam, size) for lam, size in blocks])
+        assert _run_starts(a) == [0, 3, 5]
+        # the canonical order puts 1/2 first
+        assert _run_starts(jordan_matrix(JordanSpec(blocks))) == [0, 2, 5]
+
+    def test_zero_superdiagonal_entry_splits_a_block(self):
+        rows = [list(row) for row in jordan_block(G(3), 5).entries]
+        rows[1][2] = ZERO
+        assert _run_starts(ExactMatrix(rows)) == [0, 2]
+        rows[0][1] = G(0, 2)  # a non-unit superdiagonal still joins
+        assert _run_starts(ExactMatrix(rows)) == [0, 2]
+
+    def test_not_upper_bidiagonal(self):
+        lower = ExactMatrix([[1, 0, 0], [1, 1, 0], [0, 1, 1]])
+        assert _run_starts(lower) is None
+        assert _run_starts(ExactMatrix([[1, 1, 1], [0, 1, 1], [0, 0, 1]])) is None
+        assert _run_starts(random_matrix(random.Random(4), 4, 4)) is None
+        # only an upper bidiagonal matrix is read for singularity
+        assert _run_starts(ExactMatrix([[0, 1, 1], [0, 1, 0], [0, 0, 1]])) is None
+
+    def test_zero_diagonal_entry_is_singular(self):
+        for rows in ([[0]], [[1, 1, 0], [0, 0, 1], [0, 0, 1]], [[1, 0], [0, 0]]):
+            with pytest.raises(SingularMatrixError):
+                _run_starts(ExactMatrix(rows))
 
 
 class TestPermutationMap:

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from strongrev.partitions import Partition, binomial, parity_sets
+from strongrev.partitions import Partition, parity_sets
 
 
 class TestConjugate:
@@ -96,31 +96,6 @@ class TestParitySets:
         for _ in range(20):
             rng.shuffle(parts)
             assert parity_sets(Partition(parts)).singly_even_weight == 3
-
-
-class TestBinomial:
-    def test_out_of_range_is_zero(self):
-        assert binomial(5, -1) == 0
-        assert binomial(5, 6) == 0
-        assert binomial(0, 0) == 1
-
-    @given(st.integers(min_value=1, max_value=60), st.integers(min_value=0, max_value=60))
-    def test_pascal_rule(self, n, k):
-        assert binomial(n, k) + binomial(n, k - 1) == binomial(n + 1, k)
-
-    @given(
-        st.integers(min_value=0, max_value=40),
-        st.integers(min_value=0, max_value=40),
-        st.integers(min_value=0, max_value=40),
-    )
-    def test_newton_identity(self, n, k, r):
-        if not (r <= k <= n):
-            return
-        assert binomial(n, k) * binomial(k, r) == binomial(n, r) * binomial(n - r, k - r)
-
-    @given(st.integers(min_value=1, max_value=80))
-    def test_alternating_sum(self, n):
-        assert sum((-1) ** k * binomial(n, k) for k in range(n + 1)) == 0
 
 
 class TestYoungDiagram:

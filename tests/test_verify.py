@@ -22,7 +22,7 @@ from strongrev.matrices import (
     ExactMatrix,
     PermutationMap,
     SingularMatrixError,
-    _run_ends,
+    _run_starts,
     _square_difference,
     direct_sum,
     offsets,
@@ -272,8 +272,8 @@ def _rescaled(a: ExactMatrix, g: ExactMatrix, rng: random.Random):
 
 class TestRunEndInvolutionCheck:
     """When g reverses an upper bidiagonal a, check_witness decides g^2 = I
-    from the run-end columns of g^2; the flag and the residual must be those
-    of the dense oracle."""
+    from the rows of g^2 at the starts of a's runs; the flag and the
+    residual must be those of the dense oracle."""
 
     @staticmethod
     def agrees(a, g):
@@ -349,8 +349,9 @@ class TestRunEndInvolutionCheck:
             )
             g = p * s * p.inverse()
             assert self.agrees(a, g).reverses
-            ends = _run_ends(a)
-            assert _square_difference(g, -1, a, ends) == dense_square_difference(g, MINUS_ONE)
+            assert _square_difference(g, -1, _run_starts(a)) == dense_square_difference(
+                g, MINUS_ONE
+            )
 
     @pytest.mark.parametrize(
         "blocks",
@@ -368,12 +369,13 @@ class TestRunEndInvolutionCheck:
         assert bundle.reverses and not bundle.is_involution
         self.agrees(bundle.a, bundle.g)
         for a, g in [(bundle.a, bundle.g), _rescaled(bundle.a, bundle.g, random.Random(1))]:
-            ends = _run_ends(a)
-            assert _square_difference(g, -1, a, ends) == dense_square_difference(g, MINUS_ONE)
+            assert _square_difference(g, -1, _run_starts(a)) == dense_square_difference(
+                g, MINUS_ONE
+            )
 
     def test_diagonal_a_with_dense_g(self):
-        # g commutes with a = a^-1, so it reverses a; a diagonal a has only
-        # runs of length 1, and the check falls back to the dense square
+        # g commutes with a = a^-1, so it reverses a; every index of a
+        # diagonal a starts a run, so every row of g^2 is computed
         rng = random.Random(3)
         a = ExactMatrix.diagonal([1, 1, 1, -1, -1])
         for _ in range(20):
@@ -407,10 +409,10 @@ class TestRunEndInvolutionCheck:
 
     def test_non_bidiagonal_a_whose_run_ends_do_not_generate(self):
         # b = P a P^-1 for a = J(1,2) + J(1,1) + J(1,1) has superdiagonal
-        # (1, 0, 1), so the runs end at indices 1 and 3 as for a bidiagonal
-        # matrix; but b is not bidiagonal, e_1 and e_3 generate only a
-        # 3-dimensional b-invariant subspace, and h^2 fixes both without
-        # being the identity
+        # (1, 0, 1), so the runs would start at indices 0 and 2 and end at
+        # indices 1 and 3 as for a bidiagonal matrix; but b is not
+        # bidiagonal, and h^2 has identity columns at the run ends and
+        # identity rows at the run starts without being the identity
         a = direct_sum([jordan_block(ONE, 2), ExactMatrix.identity(2)])
         g = direct_sum([jordan_reverser(ONE, 2), ExactMatrix([[1, 0], [HALF, 1]])])
         p = ExactMatrix([[1, 0, 0, 0], [0, 1, 0, -1], [1, 0, 1, 0], [0, 0, 0, 1]])
@@ -419,25 +421,30 @@ class TestRunEndInvolutionCheck:
         assert [b[i, i + 1] for i in range(3)] == [ONE, ZERO, ONE]
         square = h * h
         assert all(square[i, j] == (ONE if i == j else ZERO) for i in range(4) for j in (1, 3))
+        assert all(square[i, j] == (ONE if i == j else ZERO) for i in (0, 2) for j in range(4))
+        assert _run_starts(b) is None
         report = self.agrees(b, h)
         assert report.reverses and not report.involution
 
     def test_involutive_witness_is_not_squared_densely(self, monkeypatch):
+        # the number of rows of each product of g with itself
         squares = []
-        product = ExactMatrix.__mul__
+        product = matrices_module._product
 
-        def counting(self, other):
-            if self is other:
-                squares.append(self.rows)
-            return product(self, other)
+        def counting(a_re, a_im, b_re, b_im):
+            if b_re is g._re:
+                squares.append(len(a_re))
+            return product(a_re, a_im, b_re, b_im)
 
-        monkeypatch.setattr(ExactMatrix, "__mul__", counting)
         bundle = involutive_witness(JordanSpec([(G(1), 5), (G(-1), 3), (G(2), 2), (HALF, 2)]))
-        assert check_witness(bundle.a, bundle.g).all_good()
-        assert squares == []
-        # the dense fallback is what the counter sees
-        assert check_witness(ExactMatrix.diagonal([1, -1]), ExactMatrix.identity(2)).all_good()
-        assert squares == [2]
+        g = bundle.g
+        monkeypatch.setattr(matrices_module, "_product", counting)
+        assert check_witness(bundle.a, g).all_good()
+        assert squares == [4]  # one row per Jordan block
+        # 2 g + I does not reverse a, and every row of its square is computed
+        g = g.scale(2) + ExactMatrix.identity(12)
+        assert not check_witness(bundle.a, g).reverses
+        assert squares == [4, 12]
 
 
 def _sweep_reversers(max_n: int, pool):
@@ -491,7 +498,7 @@ class TestCheckWitnessMatchesReference:
             report = self.same(a, g)
             assert report.reverses and report.involution
             b, h = self.conjugated(a, g, rng)
-            bidiagonal += matrices_module._run_ends(b) is not None
+            bidiagonal += _run_starts(b) is not None
             assert self.same(b, h) == report
         # most conjugates are not upper bidiagonal, so a's determinant is eliminated
         assert bidiagonal < len(involutive) // 2
