@@ -122,16 +122,10 @@ def _write(value, newline: str, out: list) -> None:
             _write(item, inner, out)
             sep = "," + inner
         out.append(newline + "}")
-    elif all(type(item) is str for item in value):
-        # One join per list; when quoting all the text at once escapes
-        # nothing, no item needs quoting on its own either.
-        flat = "".join(value)
-        if len(_quote(flat)) == len(flat) + 2:
-            items = '"' + ('",' + inner + '"').join(value) + '"'
-        else:
-            items = ("," + inner).join(map(_quote, value))
-        out.append("[" + inner + items + newline + "]")
-    else:
+        return
+    try:  # a list of text in one join; _quote raises TypeError on anything else
+        out.append("[" + inner + ("," + inner).join(map(_quote, value)) + newline + "]")
+    except TypeError:
         sep = "[" + inner
         for item in value:
             out.append(sep)
@@ -414,6 +408,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 0 after --help and 2 on a usage error; 2 is a verdict
         return 0 if exc.code == 0 else 3
+    # Exact entries can have more digits than CPython converts between int
+    # and text by default (4300), so the command runs with that limit lifted
+    # and restored after it; Python 3.10.0 to 3.10.6 have no such limit.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         payload, code = args.func(args)
         if payload is not None:
@@ -425,6 +425,9 @@ def main(argv=None) -> int:
     except Exception as exc:
         print(f"internal error: {exc!r}", file=sys.stderr)
         return 4
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def entrypoint() -> None:

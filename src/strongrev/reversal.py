@@ -529,8 +529,7 @@ def sample_reverser(spec: JordanSpec, seed: int) -> ExactMatrix:
     )
     weyr_level = centralizer * base_reverser
     result = wf.permutation.inverse().conjugate(weyr_level)
-    a = jordan_matrix(spec)
-    if a * (result * a) != result:
+    if not check_witness(jordan_matrix(spec), result).reverses:
         raise RuntimeError(
             f"internal error: sampled matrix fails to reverse the spec {spec!r}"
         )

@@ -328,13 +328,11 @@ def homogeneous_det_check(k: int, m: int, trials: int, seed: int) -> dict:
         summary["cases"] += 1
         top_left = _random_involution(k, rng)
         blocks = [top_left] + [_random_matrix(k, k, rng) for _ in range(2 * m - 1)]
-        sample = _block_toeplitz(blocks) * base
-        if weyr * sample * weyr != sample:
+        report = check_witness(weyr, _block_toeplitz(blocks) * base)
+        if not report.reverses:
             _fail(summary, k=k, m=m, problem="sample does not reverse the Weyr form")
-            continue
-        det = sample.det()
-        if det != expected:
-            _fail(summary, k=k, m=m, problem=f"det {det}, expected {expected}")
+        elif report.determinant != expected:
+            _fail(summary, k=k, m=m, problem=f"det {report.determinant}, expected {expected}")
     return summary
 
 
@@ -388,13 +386,9 @@ def _compare(summary: dict, spec: JordanSpec, verdict: bool | None, label: str) 
     (None meaning "not reversible") agrees with the general classifier."""
     summary["cases"] += 1
     report = reversal.classify(spec)
-    if verdict is None:
-        if report.reversible:
-            _fail(summary, spec=spec.to_json_dict(), path=label, problem="reversibility disagreement")
-        return
-    if not report.reversible:
+    if report.reversible != (verdict is not None):
         _fail(summary, spec=spec.to_json_dict(), path=label, problem="reversibility disagreement")
-    elif verdict != report.strongly_reversible:
+    elif verdict is not None and verdict != report.strongly_reversible:
         _fail(
             summary,
             spec=spec.to_json_dict(),

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -162,6 +163,52 @@ class TestWitness:
         report = json.loads(capsys.readouterr().out)["report"]
         assert code == 0
         assert report == out["verification"]
+
+
+class TestTallEntries:
+    """The n = 24 witness of J(10^200, 12) + J(10^-200, 12) has entries with
+    more digits than CPython converts between int and text by default."""
+
+    DEFAULT_LIMIT = 4300
+
+    @pytest.fixture
+    def digit_limit(self):
+        get = getattr(sys, "get_int_max_str_digits", None)
+        if get is None:  # Python 3.10.0 to 3.10.6 have no limit
+            yield lambda: None
+            return
+        saved = get()
+        sys.set_int_max_str_digits(self.DEFAULT_LIMIT)
+        try:
+            yield get
+        finally:
+            sys.set_int_max_str_digits(saved)
+
+    def test_witness_and_verify_round_trip(self, tmp_path, capsys, digit_limit):
+        limit = digit_limit()
+        big = str(10**200)
+        path = spec_file(tmp_path, [(big, 12), ("1/" + big, 12)])
+        assert main(["witness", "--input", path, "--format", "json"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert digit_limit() == limit
+        longest = max((e for key in "ag" for row in out[key]["entries"] for e in row), key=len)
+        assert len(longest) > self.DEFAULT_LIMIT
+        assert out["verification"]["reverses"] and out["verification"]["involution"]
+
+        assert main(["witness", "--input", path, "--format", "text"]) == 0
+        assert longest in capsys.readouterr().out
+        assert digit_limit() == limit
+
+        a_path = write_json(tmp_path / "a.json", out["a"])
+        g_path = write_json(tmp_path / "g.json", out["g"])
+        assert main(["verify", "--matrix-a", a_path, "--matrix-g", g_path, "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["report"] == out["verification"]
+        assert digit_limit() == limit
+
+    def test_limit_restored_after_a_failed_command(self, tmp_path, capsys, digit_limit):
+        limit = digit_limit()
+        assert main(["classify", "--input", str(tmp_path / "missing.json")]) == 3
+        assert digit_limit() == limit
 
 
 class TestVerify:
@@ -511,6 +558,24 @@ class TestJsonWriter:
     ))
     def test_writes_what_json_dumps_writes(self, tree):
         assert _json_text(tree) == json.dumps(tree, indent=2)
+
+    class Text(str):
+        pass
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            ["a", "b", 3],
+            [None, "a", "b"],
+            {"rows": [["1", "2"], ["3", [4.5, "6"]]]},
+            [Text("x"), Text('"')],
+            ["é", "\U0001f600", "ünï"],
+            ['"', "\\"],
+        ],
+        ids=["last-not-text", "first-not-text", "nested", "str-subclass", "non-ascii", "escapes"],
+    )
+    def test_list_paths_write_what_json_dumps_writes(self, value):
+        assert _json_text(value) == json.dumps(value, indent=2)
 
 
 class TestModuleExecution:

@@ -808,6 +808,68 @@ class TestClassificationSweep:
         summary = classification_sweep(SpecGenerator(4, (ONE,)))
         assert summary["failures"]
 
+    # Three reversible-only specs among two strongly reversible ones and one
+    # that is not reversible; only those three reach the reverser loop.
+    REVERSIBLE_ONLY = [
+        JordanSpec([(ONE, 2)]),
+        JordanSpec([(G(2), 1), (HALF, 1)]),
+        JordanSpec([(MINUS_ONE, 2), (ONE, 4)]),
+    ]
+    MIXED_SPECS = REVERSIBLE_ONLY[:2] + [
+        JordanSpec([(ONE, 1)]),
+        JordanSpec([(G(2), 1)]),
+        JordanSpec([(MINUS_ONE, 3)]),
+        REVERSIBLE_ONLY[2],
+    ]
+
+    def _sweep_with_identities(self, monkeypatch):
+        """The sweep over MIXED_SPECS with two identity matrices in place of
+        each spec's involutive reversers."""
+
+        def identities(spec, report):
+            for _ in range(2):
+                yield ExactMatrix.identity(spec.n)
+
+        class Feed:
+            def specs(self):
+                return iter(TestClassificationSweep.MIXED_SPECS)
+
+        monkeypatch.setattr(verify_module, "iter_involutive_reversers", identities)
+        summary = classification_sweep(Feed())
+        tallies = {key: summary[key] for key in (
+            "cases", "not_reversible", "strongly_reversible", "reversible_only",
+            "witnesses_verified", "involutive_reversers_checked",
+        )}
+        # one reverser checked per reversible-only spec: the loop stops at the first failure
+        assert tallies == {
+            "cases": 6, "not_reversible": 1, "strongly_reversible": 2, "reversible_only": 3,
+            "witnesses_verified": 2, "involutive_reversers_checked": 3,
+        }
+        return summary["failures"]
+
+    def test_records_a_reverser_that_fails_basic_checks(self, monkeypatch):
+        # the identity reverses no Jordan matrix other than an involution
+        failures = self._sweep_with_identities(monkeypatch)
+        assert failures == [
+            {
+                "spec": spec.to_json_dict(),
+                "problem": "harness reverser failed basic checks",
+                "report": check_witness(jordan_matrix(spec), ExactMatrix.identity(spec.n)).to_json_dict(),
+            }
+            for spec in self.REVERSIBLE_ONLY
+        ]
+        assert all(not f["report"]["reverses"] for f in failures)
+
+    def test_records_an_involutive_reverser_with_det_plus_one(self, monkeypatch):
+        # Every involutive reverser of a reversible-only Jordan matrix has
+        # det -1, so the sweep checks the identity against the identity.
+        monkeypatch.setattr(verify_module, "jordan_matrix", lambda spec: ExactMatrix.identity(spec.n))
+        failures = self._sweep_with_identities(monkeypatch)
+        assert failures == [
+            {"spec": spec.to_json_dict(), "problem": "involutive reverser with det 1"}
+            for spec in self.REVERSIBLE_ONLY
+        ]
+
 
 class TestClassCounts:
     @pytest.mark.parametrize("pool", [DEFAULT_POOL, MIXED_POOL], ids=["default", "mixed"])
@@ -870,6 +932,29 @@ class TestHomogeneousDetCheck:
 
     def test_block_of_four(self):
         assert homogeneous_det_check(1, 2, trials=10, seed=4)["failures"] == []
+
+    def test_records_a_sample_that_does_not_reverse(self, monkeypatch):
+        # With the identity as the fixed reverser a sample is a centralizer
+        # element T, and weyr T weyr = T weyr^2 differs from T.
+        monkeypatch.setattr(
+            reversal_module, "blocked_jordan_reverser", lambda eig, sizes: ExactMatrix.identity(sum(sizes))
+        )
+        summary = homogeneous_det_check(2, 1, trials=3, seed=5)
+        assert summary["cases"] == 3
+        assert summary["failures"] == [{"k": 2, "m": 1, "problem": "sample does not reverse the Weyr form"}] * 3
+
+    @pytest.mark.parametrize(
+        "k, m, problem",
+        [(1, 1, "det -4, expected -1"), (2, 1, "det 16, expected 1"), (1, 2, "det 16, expected 1")],
+    )
+    def test_records_a_determinant_off_the_law(self, monkeypatch, k, m, problem):
+        # 2I in place of the top-left involution: every sample still reverses
+        # the Weyr form, and its determinant is det(2I)^(2m) = 2^(2mk) times
+        # the law's (-1)^(mk), which the fixed reverser carries alone.
+        monkeypatch.setattr(verify_module, "_random_involution", lambda n, rng: ExactMatrix.diagonal([2] * n))
+        summary = homogeneous_det_check(k, m, trials=3, seed=6)
+        assert summary["cases"] == 3
+        assert summary["failures"] == [{"k": k, "m": m, "problem": problem}] * 3
 
 
 class TestLemmaOracles:
