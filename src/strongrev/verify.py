@@ -35,7 +35,7 @@ from .matrices import (
     check_witness,
 )
 from .partitions import Partition, parity_sets
-from .scalars import GaussianRational, MINUS_ONE, ONE, as_int, as_scalar
+from .scalars import GaussianRational, MINUS_ONE, ONE, as_int, as_scalar, inverse_triple
 from .scalars import I as IMAGINARY
 
 __all__ = [
@@ -48,6 +48,7 @@ __all__ = [
     "class_counts",
     "homogeneous_det_check",
     "cross_path_check",
+    "general_strong_verdict",
     "semisimple_strong_verdict",
     "sign_eigenvalue_strong_verdict",
     "single_pair_strong_verdict",
@@ -94,20 +95,15 @@ class SpecGenerator:
     """Every Jordan spec over an eigenvalue pool with total size <= max_n,
     each multiset of (eigenvalue, size) pairs exactly once.
 
-    Pool values must be distinct and nonzero, and ``max_n`` and
-    ``max_block_size`` positive ints; anything else is refused here, before
-    any spec is built.
+    Pool values must be distinct and nonzero, and ``max_n`` a positive int;
+    anything else is refused here, before any spec is built.
     """
 
-    def __init__(self, max_n: int, pool: Sequence, max_block_size: int | None = None):
+    def __init__(self, max_n: int, pool: Sequence):
         self.max_n, self.pool = _checked_max_n_and_pool(max_n, pool)
-        self.max_block_size = None if max_block_size is None else as_int(max_block_size)
-        if self.max_block_size is not None and self.max_block_size < 1:
-            raise ValueError(f"max_block_size must be at least 1, got {self.max_block_size}")
 
     def specs(self) -> Iterator[JordanSpec]:
-        limit = self.max_n if self.max_block_size is None else min(self.max_n, self.max_block_size)
-        items = [(eig, size) for eig in self.pool for size in range(1, limit + 1)]
+        items = [(eig, size) for eig in self.pool for size in range(1, self.max_n + 1)]
         # The recursion walks the items in pool order; each spec's blocks are
         # its items in canonical order, so acc holds the chosen items'
         # canonical positions, kept sorted, and every spec is built from an
@@ -221,28 +217,20 @@ def classification_sweep(gen: SpecGenerator) -> dict:
     return summary
 
 
-def _graded_partitions(n: int, parts: Sequence[tuple[int, bool]]) -> list[list[int]]:
-    """[even, odd] counts of the partitions of 0..n into the given part
-    sizes, split by the parity of the number of parts whose flag is set."""
-    series = [[1, 0]] + [[0, 0] for _ in range(n)]
-    for size, flag in parts:
-        for m in range(size, n + 1):
-            even, odd = series[m - size]
-            series[m][flag] += even
-            series[m][not flag] += odd
+def _partition_series(n: int, step: int) -> list[int]:
+    """Coefficients of x^0..x^n in P(x^step), where P counts partitions."""
+    series = [1] + [0] * n
+    for part in range(step, n + 1, step):
+        for m in range(part, n + 1):
+            series[m] += series[m - part]
     return series
 
 
-def _graded_product(n: int, factors: list[list[list[int]]]) -> list[list[int]]:
-    """Product of parity-graded series up to x^n; the parities add."""
-    out = [[1, 0]] + [[0, 0] for _ in range(n)]
+def _series_product(n: int, factors: list[list[int]]) -> list[int]:
+    """Product of power series, truncated after x^n."""
+    out = [1] + [0] * n
     for factor in factors:
-        prod = [[0, 0] for _ in out]
-        for i, (a0, a1) in enumerate(out):
-            for j, (b0, b1) in enumerate(factor[: n + 1 - i]):
-                prod[i + j][0] += a0 * b0 + a1 * b1
-                prod[i + j][1] += a0 * b1 + a1 * b0
-        out = prod
+        out = [sum(out[i] * factor[m - i] for i in range(m + 1)) for m in range(n + 1)]
     return out
 
 
@@ -253,10 +241,10 @@ def class_counts(max_n: int, pool: Sequence) -> dict[str, int]:
 
     With s values +-1 and t pairs {lam, 1/lam} in the pool, a reversible
     spec is a partition at each +-1 and one partition of some j for each
-    pair, used at lam and at 1/lam (size 2j).  It is reversible-only when
-    no +-1 part is odd and its parity value, the number of +-1 parts that
-    are 2 mod 4 plus the j of every pair, is odd.  ``max_n`` and ``pool``
-    are refused as SpecGenerator refuses them.
+    pair, used at lam and at 1/lam (size 2j).  By the n mod 4 corollary it
+    is reversible-only exactly when no +-1 part is odd and n is 2 mod 4, so
+    those are the coefficients of P(x^2)^(s+t) at n = 2 mod 4.  ``max_n``
+    and ``pool`` are refused as SpecGenerator refuses them.
     """
     n, pool = _checked_max_n_and_pool(max_n, pool)
     units = [v for v in pool if v == ONE or v == MINUS_ONE]
@@ -264,23 +252,16 @@ def class_counts(max_n: int, pool: Sequence) -> dict[str, int]:
     if any(v.inverse() not in others for v in others):
         raise ValueError("pool must be closed under inversion")
     s, t = len(units), len(others) // 2
-    plain = _graded_partitions(n, [(k, False) for k in range(1, n + 1)])
-    even = _graded_partitions(n, [(k, k % 4 == 2) for k in range(2, n + 1, 2)])
-    shared = [[0, 0] for _ in range(n + 1)]
-    for j in range(n // 2 + 1):
-        shared[2 * j][j % 2] = plain[j][0]
-    unsigned = [[sum(c), 0] for c in shared]
-    everything = _graded_product(n, [plain] * len(pool))
-    reversible = _graded_product(n, [plain] * s + [unsigned] * t)
-    only = _graded_product(n, [even] * s + [shared] * t)
-    total = sum(c[0] for c in everything[1:])
-    rev = sum(c[0] for c in reversible[1:])
-    odd = sum(c[1] for c in only[1:])
+    plain = _partition_series(n, 1)
+    doubled = _partition_series(n, 2)
+    total = sum(_series_product(n, [plain] * len(pool))[1:])
+    rev = sum(_series_product(n, [plain] * s + [doubled] * t)[1:])
+    only = sum(_series_product(n, [doubled] * (s + t))[2::4])
     return {
         "cases": total,
         "not_reversible": total - rev,
-        "strongly_reversible": rev - odd,
-        "reversible_only": odd,
+        "strongly_reversible": rev - only,
+        "reversible_only": only,
     }
 
 
@@ -381,11 +362,28 @@ def single_pair_strong_verdict(spec: JordanSpec) -> bool | None:
     return sum(sizes_first) % 2 == 0
 
 
-def _compare(summary: dict, spec: JordanSpec, verdict: bool | None, label: str) -> None:
-    """Count one case and record a failure unless the special-case verdict
-    (None meaning "not reversible") agrees with the general classifier."""
+def general_strong_verdict(spec: JordanSpec) -> bool | None:
+    """Strong reversibility of any spec by the n mod 4 corollary, read from
+    block counts alone: None unless each (lam, d) occurs as often as
+    (1/lam, d); otherwise strongly reversible iff some +-1 block has odd
+    size or n is not 2 mod 4."""
+    counts = Counter((eig.triple, size) for eig, size in spec.blocks)
+    units = (ONE.triple, MINUS_ONE.triple)
+    odd_unit_block = False
+    for (triple, size), count in counts.items():
+        if triple in units:
+            odd_unit_block |= size % 2 == 1
+        elif count != counts.get((inverse_triple(*triple), size), 0):
+            return None
+    return odd_unit_block or spec.n % 4 != 2
+
+
+def _compare(
+    summary: dict, spec: JordanSpec, report: reversal.StrongReversibilityReport, verdict: bool | None, label: str
+) -> None:
+    """Count one case and record a failure unless the verdict (None meaning
+    "not reversible") agrees with the classifier's report on the spec."""
     summary["cases"] += 1
-    report = reversal.classify(spec)
     if report.reversible != (verdict is not None):
         _fail(summary, spec=spec.to_json_dict(), path=label, problem="reversibility disagreement")
     elif verdict is not None and verdict != report.strongly_reversible:
@@ -398,25 +396,26 @@ def _compare(summary: dict, spec: JordanSpec, verdict: bool | None, label: str) 
 
 
 def cross_path_check(max_n: int = 10) -> dict:
-    """Classifier verdicts must match all four special-case arguments:
-    semisimple specs, unipotent specs, eigenvalue -1 specs, and single
-    lam/1-over-lam pairs (lam = 2 and i), for every applicable spec of size
-    <= max_n."""
+    """Classifier verdicts must match the general n mod 4 verdict on every
+    spec over DEFAULT_POOL of size <= max_n, and each special-case argument
+    on the specs of its family: semisimple specs, unipotent specs,
+    eigenvalue -1 specs, and specs whose eigenvalues are exactly one pair
+    lam, 1/lam (lam = 2 and i).  Each spec is classified once."""
     summary = _new_summary("cross_path_check")
-    semisimple_gen = SpecGenerator(max_n, DEFAULT_POOL, max_block_size=1)
-    for spec in semisimple_gen.specs():
-        _compare(summary, spec, semisimple_strong_verdict(spec), "semisimple")
-    for n in range(1, max_n + 1):
-        for parts in iter_partitions(n):
-            for mu, label in ((ONE, "unipotent"), (MINUS_ONE, "eigenvalue -1")):
-                spec = JordanSpec((mu, d) for d in parts)
-                _compare(summary, spec, sign_eigenvalue_strong_verdict(spec, mu), label)
-    for lam in (GaussianRational(2), IMAGINARY):
-        for half in range(1, max_n // 2 + 1):
-            for parts in iter_partitions(half):
-                blocks = [(lam, d) for d in parts] + [(lam.inverse(), d) for d in parts]
-                spec = JordanSpec(blocks)
-                _compare(summary, spec, single_pair_strong_verdict(spec), "single pair")
+    pairs = [{lam.triple, lam.inverse().triple} for lam in (GaussianRational(2), IMAGINARY)]
+    for spec in SpecGenerator(max_n, DEFAULT_POOL).specs():
+        report = reversal.classify(spec)
+        _compare(summary, spec, report, general_strong_verdict(spec), "general")
+        if spec.n == len(spec.blocks):
+            _compare(summary, spec, report, semisimple_strong_verdict(spec), "semisimple")
+        eigs = {eig.triple for eig, _ in spec.blocks}
+        if eigs == {ONE.triple}:
+            _compare(summary, spec, report, sign_eigenvalue_strong_verdict(spec, ONE), "unipotent")
+        elif eigs == {MINUS_ONE.triple}:
+            verdict = sign_eigenvalue_strong_verdict(spec, MINUS_ONE)
+            _compare(summary, spec, report, verdict, "eigenvalue -1")
+        elif eigs in pairs:
+            _compare(summary, spec, report, single_pair_strong_verdict(spec), "single pair")
     return summary
 
 

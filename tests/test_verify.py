@@ -40,6 +40,7 @@ from strongrev.verify import (
     check_witness,
     classification_sweep,
     cross_path_check,
+    general_strong_verdict,
     homogeneous_det_check,
     iter_involutive_reversers,
     iter_partitions,
@@ -630,13 +631,9 @@ class TestSpecGenerator:
                 expected.add(JordanSpec((ONE, d) for d in parts))
         assert specs == expected
 
-    def test_max_block_size_restricts(self):
-        gen = SpecGenerator(4, (ONE, G(2)), max_block_size=1)
-        assert all(size == 1 for spec in gen.specs() for _, size in spec.blocks)
-
     @pytest.mark.parametrize(
         "kwargs",
-        [{"max_n": 7.9}, {"max_block_size": 1.0}, {"max_n": True}],
+        [{"max_n": 7.9}, {"max_n": True}],
         ids=repr,
     )
     def test_rejects_non_integer_sizes(self, kwargs):
@@ -646,7 +643,7 @@ class TestSpecGenerator:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"max_n": 0}, {"max_n": -2}, {"max_block_size": 0}, {"max_block_size": -1}],
+        [{"max_n": 0}, {"max_n": -2}],
         ids=repr,
     )
     def test_rejects_out_of_range_sizes(self, kwargs):
@@ -664,23 +661,12 @@ class TestSpecGenerator:
         with pytest.raises(ValueError, match="nonzero"):
             SpecGenerator(2, [ONE, ZERO])
 
-    @pytest.mark.parametrize(
-        "pool, max_block_size",
-        [
-            (DEFAULT_POOL, None),
-            (MIXED_POOL, None),
-            (DEFAULT_POOL, 2),
-            (MIXED_POOL, 2),
-        ],
-        ids=["default", "mixed", "default-max2", "mixed-max2"],
-    )
-    def test_exhaustive_yields_checked_canonical_specs_in_recursion_order(
-        self, pool, max_block_size
-    ):
-        specs = list(SpecGenerator(6, pool, max_block_size=max_block_size).specs())
+    @pytest.mark.parametrize("pool", [DEFAULT_POOL, MIXED_POOL], ids=["default", "mixed"])
+    def test_exhaustive_yields_checked_canonical_specs_in_recursion_order(self, pool):
+        specs = list(SpecGenerator(6, pool).specs())
         for spec in specs:
             assert spec == JordanSpec(spec.blocks)
-        assert specs == _recursion_specs(6, pool, max_block_size)
+        assert specs == _recursion_specs(6, pool)
 
 
 def test_random_specs_are_deterministic():
@@ -689,12 +675,11 @@ def test_random_specs_are_deterministic():
     assert len(specs) == 25 and all(1 <= spec.n <= 6 for spec in specs)
 
 
-def _recursion_specs(max_n, pool, max_block_size=None) -> list[JordanSpec]:
+def _recursion_specs(max_n, pool) -> list[JordanSpec]:
     """Every multiset of (eigenvalue, size) items with total size <= max_n,
     in the order of a depth-first recursion over the items in pool order,
     each spec built and sorted by the public constructor."""
-    limit = max_n if max_block_size is None else min(max_n, max_block_size)
-    items = [(eig, size) for eig in pool for size in range(1, limit + 1)]
+    items = [(eig, size) for eig in pool for size in range(1, max_n + 1)]
     out = []
 
     def rec(start, budget, acc):
@@ -874,8 +859,13 @@ class TestClassificationSweep:
 class TestClassCounts:
     @pytest.mark.parametrize("pool", [DEFAULT_POOL, MIXED_POOL], ids=["default", "mixed"])
     def test_matches_generating_function_oracle(self, pool):
-        for n in range(1, 17):
+        for n in range(1, 41):
             assert verify_module.class_counts(n, pool) == class_counts(n, pool)
+
+    def test_reversible_only_counts(self):
+        # reversible-only specs occur only at n = 2 mod 4, so n = 11 and 12 add none
+        counts = [verify_module.class_counts(n, DEFAULT_POOL)["reversible_only"] for n in (10, 12, 14)]
+        assert counts == [296, 296, 1536]
 
     @pytest.mark.parametrize("max_n", [7.9, True], ids=repr)
     def test_rejects_non_integer_max_n(self, max_n):
@@ -988,11 +978,67 @@ class TestLemmaOracles:
         assert single_pair_strong_verdict(JordanSpec([(ONE, 1), (G(2), 1)])) is None
 
 
+class TestGeneralVerdict:
+    @pytest.mark.parametrize(
+        "max_n, pool", [(8, DEFAULT_POOL), (7, MIXED_POOL)], ids=["default", "mixed"]
+    )
+    def test_n_mod_4_corollary(self, max_n, pool):
+        # With every +-1 block even, p + q = 2k (mod 4) for the k parts that
+        # are 2 mod 4, so 2 * parity_value = 2k + (n - p - q) = n (mod 4).
+        checked = 0
+        for spec in SpecGenerator(max_n, pool).specs():
+            report = classify(spec)
+            if report.reversible and not report.odd_block_present:
+                checked += 1
+                assert spec.n % 4 in (0, 2)
+                assert report.parity_value % 2 == (spec.n // 2) % 2
+        assert checked > 0
+
+    def test_reads_no_classifier_output(self, monkeypatch):
+        specs = list(SpecGenerator(6, MIXED_POOL).specs())
+        expected = [
+            report.strongly_reversible if report.reversible else None
+            for report in map(classify, specs)
+        ]
+
+        def refuse(spec):
+            raise AssertionError("general_strong_verdict called the classifier")
+
+        monkeypatch.setattr(reversal_module, "classify", refuse)
+        assert [general_strong_verdict(spec) for spec in specs] == expected
+        assert general_strong_verdict(JordanSpec([(ONE, 2), (MINUS_ONE, 4)])) is False
+        assert general_strong_verdict(JordanSpec([(ONE, 2), (G(2), 1), (HALF, 1)])) is True
+        assert general_strong_verdict(JordanSpec([(G(2), 1), (HALF, 2)])) is None
+
+    def test_catches_a_flip_outside_the_special_families(self, monkeypatch):
+        # J(1,2) + J(2,1) + J(1/2,1) is neither semisimple nor supported on
+        # one eigenvalue or one pair, so only the general verdict sees it.
+        target = JordanSpec([(ONE, 2), (G(2), 1), (HALF, 1)])
+        real = reversal_module.classify
+
+        def flipped(spec):
+            report = real(spec)
+            if spec == target:
+                return dataclasses.replace(report, strongly_reversible=not report.strongly_reversible)
+            return report
+
+        monkeypatch.setattr(reversal_module, "classify", flipped)
+        assert cross_path_check(max_n=4)["failures"] == [
+            {
+                "spec": target.to_json_dict(),
+                "path": "general",
+                "problem": "general verdict True vs classifier False",
+            }
+        ]
+
+
 class TestCrossChecks:
     def test_cross_path_small(self):
-        # 3 002 semisimple specs, 132 with one eigenvalue +-1 and 22 single pairs
+        # every one of the 25 753 specs against the general verdict, plus
+        # 3 002 semisimple specs, 66 unipotent, 66 with eigenvalue -1 only
+        # and 602 supported on {2, 1/2} or {i, -i}
         summary = cross_path_check(max_n=8)
-        assert summary["failures"] == [] and summary["cases"] == 3156
+        assert summary["failures"] == [] and summary["cases"] == 29489
 
 
 class TestRunSelftest:
