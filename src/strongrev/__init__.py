@@ -17,14 +17,12 @@ from .canonical import (
     weyr_form,
 )
 from .reversal import (
-    DetSignPrediction,
     NotReversibleError,
     NotStronglyReversibleError,
     StrongReversibilityReport,
     WitnessBundle,
     classify,
     involution_det_sign,
-    involution_reverser,
     involutive_witness,
     inverse_law_holds,
     jordan_reverser,

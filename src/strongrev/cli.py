@@ -166,10 +166,10 @@ def cmd_classify(args) -> tuple[dict, int]:
             _block_json(report.failure_witness) if report.failure_witness else None
         ),
         "strongly_reversible": report.strongly_reversible,
-        "plus_one_multiplicity": report.p,
-        "minus_one_multiplicity": report.q,
-        "plus_one_partition": list(report.partition_plus.parts),
-        "minus_one_partition": list(report.partition_minus.parts),
+        "plus_one_multiplicity": sum(report.plus_sizes),
+        "minus_one_multiplicity": sum(report.minus_sizes),
+        "plus_one_partition": list(Partition(report.plus_sizes).parts),
+        "minus_one_partition": list(Partition(report.minus_sizes).parts),
         "odd_block_present": report.odd_block_present,
         "parity_value": report.parity_value,
         "parity_even": report.parity_even,

@@ -32,7 +32,6 @@ from .matrices import (
     inflate,
     offsets,
 )
-from .partitions import Partition
 from .scalars import GaussianRational, MINUS_ONE, ONE, ZERO, as_scalar, inverse_triple
 from .scalars import I as IMAGINARY
 
@@ -40,7 +39,6 @@ __all__ = [
     "NotReversibleError",
     "NotStronglyReversibleError",
     "StrongReversibilityReport",
-    "DetSignPrediction",
     "WitnessBundle",
     "jordan_reverser",
     "jordan_reverser_recurrence",
@@ -48,7 +46,6 @@ __all__ = [
     "upper_toeplitz",
     "jordan_reverser_general",
     "blocked_jordan_reverser",
-    "involution_reverser",
     "pair_reverser",
     "classify",
     "involution_det_sign",
@@ -65,14 +62,15 @@ class NotReversibleError(ValueError):
 
 
 class NotStronglyReversibleError(ValueError):
-    """The spec is reversible but admits no involutive reverser in SL."""
+    """The spec is reversible but admits no involutive reverser in SL: it has
+    no odd +-1 block and an odd parity value, so every involutive reverser
+    has determinant -1."""
 
-    def __init__(self, prediction: "DetSignPrediction"):
+    def __init__(self):
         super().__init__(
             "no involutive reverser with determinant 1 exists: every involutive "
-            f"reverser of this form has determinant {prediction.sign}"
+            "reverser of this form has determinant -1"
         )
-        self.prediction = prediction
 
 
 _ONE, _MINUS_ONE = ONE.triple, MINUS_ONE.triple
@@ -175,14 +173,6 @@ def blocked_jordan_reverser(eigenvalue, sizes: Sequence[int]) -> ExactMatrix:
     return inflate(jordan_reverser(eigenvalue, len(sizes)), sizes)
 
 
-def involution_reverser(mu, n: int) -> ExactMatrix:
-    """R(mu, n) for mu in {1, -1}: an involution reversing J(mu, n)."""
-    mu = as_scalar(mu)
-    if mu != ONE and mu != MINUS_ONE:
-        raise ValueError("involution_reverser needs eigenvalue +1 or -1")
-    return jordan_reverser(mu, n)
-
-
 def pair_reverser(eigenvalue, n: int) -> ExactMatrix:
     """Antidiagonal block involution reversing J(lam, n) + J(1/lam, n):
     R(lam, n) sits top right and its inverse R(1/lam, n) bottom left.  Its
@@ -208,8 +198,7 @@ class StrongReversibilityReport:
     Jordan structures plus half the size of everything else; a reversible
     spec is strongly reversible iff some +-1 eigenvalue has an odd block or
     that value is even.  ``plus_sizes`` and ``minus_sizes`` are the block
-    sizes at +1 and -1; the multiplicities and partitions are read from them
-    on demand.
+    sizes at +1 and -1, in spec order.
     """
 
     reversible: bool
@@ -223,37 +212,6 @@ class StrongReversibilityReport:
     parity_value: int
     parity_even: bool
 
-    @property
-    def p(self) -> int:
-        return sum(self.plus_sizes)
-
-    @property
-    def q(self) -> int:
-        return sum(self.minus_sizes)
-
-    @property
-    def partition_plus(self) -> Partition:
-        return Partition(self.plus_sizes)
-
-    @property
-    def partition_minus(self) -> Partition:
-        return Partition(self.minus_sizes)
-
-
-@dataclass(frozen=True)
-class DetSignPrediction:
-    """Determinant constraint on involutive reversers of a reversible spec.
-
-    ``free`` means both signs occur; otherwise every involutive reverser has
-    determinant ``sign``.
-    """
-
-    free: bool
-    sign: int | None
-
-    def __str__(self) -> str:
-        return "free" if self.free else f"forced {self.sign:+d}"
-
 
 @dataclass(frozen=True)
 class WitnessBundle:
@@ -264,18 +222,6 @@ class WitnessBundle:
     g: ExactMatrix
     report: VerificationReport
     transcript: tuple[str, ...]
-
-    @property
-    def reverses(self) -> bool:
-        return self.report.reverses
-
-    @property
-    def is_involution(self) -> bool:
-        return self.report.involution
-
-    @property
-    def determinant(self) -> GaussianRational:
-        return self.report.determinant
 
 
 def _frozen(cls, **fields):
@@ -337,22 +283,18 @@ def classify(spec: JordanSpec) -> StrongReversibilityReport:
     )
 
 
-def _det_sign(spec: JordanSpec, report: StrongReversibilityReport) -> DetSignPrediction:
-    """involution_det_sign given report = classify(spec)."""
-    if not report.reversible:
-        raise NotReversibleError(f"spec is not reversible: {spec!r}")
-    if report.odd_block_present:
-        return DetSignPrediction(free=True, sign=None)
-    return DetSignPrediction(free=False, sign=1 if report.parity_even else -1)
-
-
-def involution_det_sign(spec: JordanSpec) -> DetSignPrediction:
-    """Predict the determinant of involutive reversers of the Jordan matrix.
+def involution_det_sign(spec: JordanSpec) -> set[int]:
+    """The determinants that involutive reversers of the Jordan matrix take.
 
     With an odd block at eigenvalue +-1 both signs occur; otherwise the
     determinant is pinned to (-1)**parity_value.
     """
-    return _det_sign(spec, classify(spec))
+    report = classify(spec)
+    if not report.reversible:
+        raise NotReversibleError(f"spec is not reversible: {spec!r}")
+    if report.odd_block_present:
+        return {-1, 1}
+    return {1 if report.parity_even else -1}
 
 
 def block_reversers(spec: JordanSpec) -> list[ExactMatrix]:
@@ -431,8 +373,10 @@ def involutive_witness(spec: JordanSpec) -> WitnessBundle:
 
 def _involutive_witness(spec: JordanSpec, report: StrongReversibilityReport) -> WitnessBundle:
     """involutive_witness given report = classify(spec)."""
+    if not report.reversible:
+        raise NotReversibleError(f"spec is not reversible: {spec!r}")
     if not report.strongly_reversible:
-        raise NotStronglyReversibleError(_det_sign(spec, report))
+        raise NotStronglyReversibleError()
     transcript: list[str] = []
     scales = [ONE] * len(spec.blocks)
     odd_indices: list[int] = []

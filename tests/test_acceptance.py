@@ -198,9 +198,9 @@ def test_criterion_5_cross_path_agreement():
 
 def test_criterion_6_duality_and_centralizer():
     def body():
-        partitions = suite_partition_laws(seed=6, trials=500)
+        partitions = suite_partition_laws(seed=6)
         assert partitions["failures"] == []
-        canonical = suite_canonical_laws(seed=7, trials=200)
+        canonical = suite_canonical_laws(seed=7)
         assert canonical["failures"] == []
 
     run_criterion(6, "partition duality and Weyr centralizer checks", 60.0, body)

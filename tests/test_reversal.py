@@ -9,13 +9,11 @@ from oracles import random_nonzero_scalar
 from strongrev.canonical import JordanSpec, jordan_block, jordan_matrix
 from strongrev.matrices import ExactMatrix, direct_sum
 from strongrev.reversal import (
-    DetSignPrediction,
     NotReversibleError,
     NotStronglyReversibleError,
     StrongReversibilityReport,
     classify,
     involution_det_sign,
-    involution_reverser,
     involutive_witness,
     inverse_law_holds,
     jordan_reverser,
@@ -179,26 +177,18 @@ class TestGeneralReverser:
 
 class TestInvolutionReverser:
     def test_size_two_hand_check(self):
-        g = involution_reverser(ONE, 2)
+        g = jordan_reverser(ONE, 2)
         assert g == ExactMatrix([[-1, 0], [0, 1]])
         j = jordan_block(G(1), 2)
         # frozen hand computation: g J g^{-1} = [[1,-1],[0,1]] = J^{-1}
         assert g * j * g == ExactMatrix([[1, -1], [0, 1]])
         assert g * j * g == j.inverse()
 
-    def test_size_four_is_closed_form(self):
-        for mu in (ONE, MINUS_ONE):
-            assert involution_reverser(mu, 4) == jordan_reverser(mu, 4)
-
     def test_always_involution(self):
         for mu in (ONE, MINUS_ONE):
             for n in range(1, 13):
-                g = involution_reverser(mu, n)
+                g = jordan_reverser(mu, n)
                 assert (g * g).is_identity()
-
-    def test_rejects_other_eigenvalues(self):
-        with pytest.raises(ValueError):
-            involution_reverser(G(2), 3)
 
 
 class TestPairReverser:
@@ -339,7 +329,7 @@ class TestClassify:
         assert report.reversible and not report.strongly_reversible
         assert report.parity_value == 3 and not report.parity_even
         assert not report.odd_block_present
-        assert report.p == 6 and report.q == 0
+        assert report.plus_sizes == (2, 2, 2) and report.minus_sizes == ()
 
     def test_unipotent_442(self):
         report = classify(spec_of((1, 4), (1, 4), (1, 2)))
@@ -367,29 +357,53 @@ class TestClassify:
 
 class TestDetSignPrediction:
     def test_forced_minus_for_three_doubled_blocks(self):
-        prediction = involution_det_sign(spec_of((1, 2), (1, 2), (1, 2)))
-        assert prediction == DetSignPrediction(free=False, sign=-1)
+        assert involution_det_sign(spec_of((1, 2), (1, 2), (1, 2))) == {-1}
 
     def test_forced_minus_for_semisimple_pair(self):
-        prediction = involution_det_sign(spec_of((2, 1), (HALF, 1)))
-        assert prediction == DetSignPrediction(free=False, sign=-1)
+        assert involution_det_sign(spec_of((2, 1), (HALF, 1))) == {-1}
 
     def test_free_for_odd_unit_block(self):
-        assert involution_det_sign(spec_of((1, 3))).free
+        assert involution_det_sign(spec_of((1, 3))) == {-1, 1}
 
     def test_forced_plus(self):
-        prediction = involution_det_sign(spec_of((1, 4)))
-        assert prediction == DetSignPrediction(free=False, sign=1)
+        assert involution_det_sign(spec_of((1, 4))) == {1}
 
     def test_requires_reversible(self):
         with pytest.raises(NotReversibleError):
             involution_det_sign(spec_of((2, 1)))
 
+    def test_matches_every_blockwise_reverser(self):
+        # every reversible spec with n <= 6 over DEFAULT_POOL: the
+        # determinants of all its blockwise involutive reversers are exactly
+        # the predicted set
+        from strongrev.matrices import check_witness
+        from strongrev.verify import DEFAULT_POOL, SpecGenerator, iter_involutive_reversers
+
+        sign = {ONE: 1, MINUS_ONE: -1}
+        seen = {}
+        for spec in SpecGenerator(6, DEFAULT_POOL).specs():
+            report = classify(spec)
+            if not report.reversible:
+                continue
+            a = jordan_matrix(spec)
+            dets = set()
+            for g in iter_involutive_reversers(spec, report):
+                check = check_witness(a, g)
+                assert check.reverses and check.involution, spec
+                dets.add(sign[check.determinant])
+            predicted = involution_det_sign(spec)
+            assert dets == predicted, spec
+            key = tuple(sorted(predicted))
+            seen[key] = seen.get(key, 0) + 1
+        # free, forced -1 and forced +1 specs all occur
+        assert seen == {(-1, 1): 206, (-1,): 44, (1,): 14}
+
 
 class TestInvolutiveWitness:
     def test_single_even_block(self):
         bundle = involutive_witness(spec_of((1, 4)))
-        assert bundle.reverses and bundle.is_involution and bundle.determinant == ONE
+        report = bundle.report
+        assert report.reverses and report.involution and report.determinant == ONE
         # both signs of the scale give determinant +1 here
         for scale in (ONE, MINUS_ONE):
             g = scale * jordan_reverser(G(1), 4)
@@ -404,33 +418,38 @@ class TestInvolutiveWitness:
         assert g0 * a * g0 == a.inverse()
         assert g0.det() == ONE
         bundle = involutive_witness(spec_of((1, 2), (1, 2)))
-        assert bundle.reverses and bundle.is_involution and bundle.determinant == ONE
+        report = bundle.report
+        assert report.reverses and report.involution and report.determinant == ONE
 
     def test_pair_of_doubled_blocks(self):
         bundle = involutive_witness(spec_of((2, 2), (HALF, 2)))
-        assert bundle.determinant == ONE and bundle.is_involution
+        assert bundle.report.determinant == ONE and bundle.report.involution
         assert bundle.g.det() == ONE
 
     def test_odd_block_sign_rule(self):
         bundle = involutive_witness(spec_of((1, 3)))
         # d(d-1)/2 = 3 is odd, so the scale is -1 and g = -R(1,3)
         assert bundle.g == MINUS_ONE * jordan_reverser(G(1), 3)
-        assert bundle.determinant == ONE
+        assert bundle.report.determinant == ONE
 
     def test_flip_absorbs_forced_sign(self):
         # one odd block alongside a pair of odd size: forced sign -1, flipped
         bundle = involutive_witness(spec_of((1, 1), (2, 1), (HALF, 1)))
-        assert bundle.determinant == ONE and bundle.is_involution
+        assert bundle.report.determinant == ONE and bundle.report.involution
         assert any("flipped" in line for line in bundle.transcript)
 
     def test_mixed_spec(self):
         bundle = involutive_witness(spec_of((1, 3), (-1, 2), (2, 2), (HALF, 2), (1, 4)))
-        assert bundle.reverses and bundle.is_involution and bundle.determinant == ONE
+        report = bundle.report
+        assert report.reverses and report.involution and report.determinant == ONE
 
     def test_refuses_non_strongly_reversible(self):
         with pytest.raises(NotStronglyReversibleError) as info:
             involutive_witness(spec_of((1, 2)))
-        assert info.value.prediction.sign == -1
+        assert str(info.value) == (
+            "no involutive reverser with determinant 1 exists: every involutive "
+            "reverser of this form has determinant -1"
+        )
 
     def test_refuses_non_reversible(self):
         with pytest.raises(NotReversibleError):
@@ -442,19 +461,19 @@ class TestSlReverserWitness:
         bundle = sl_reverser_witness(spec_of((1, 2)))
         assert bundle.g == ExactMatrix([[I, ZERO], [ZERO, -I]])
         assert bundle.g == (-I) * jordan_reverser(G(1), 2)
-        assert bundle.determinant == ONE and bundle.reverses
-        assert not bundle.is_involution
+        assert bundle.report.determinant == ONE and bundle.report.reverses
+        assert not bundle.report.involution
         square = bundle.g * bundle.g
         assert square == MINUS_ONE * ExactMatrix.identity(2)
 
     def test_semisimple_pair_scaled_swap(self):
         bundle = sl_reverser_witness(spec_of((2, 1), (HALF, 1)))
         assert bundle.g == ExactMatrix([[0, 1], [-1, 0]])
-        assert bundle.determinant == ONE and bundle.reverses
+        assert bundle.report.determinant == ONE and bundle.report.reverses
 
     def test_strongly_reversible_reuses_involutive(self):
         bundle = sl_reverser_witness(spec_of((1, 3)))
-        assert bundle.is_involution and bundle.determinant == ONE
+        assert bundle.report.involution and bundle.report.determinant == ONE
 
     def test_every_reversible_spec_gets_a_witness(self):
         rng = random.Random(78)
@@ -473,7 +492,7 @@ class TestSlReverserWitness:
                 continue
             count += 1
             bundle = sl_reverser_witness(spec)
-            assert bundle.reverses and bundle.determinant == ONE
+            assert bundle.report.reverses and bundle.report.determinant == ONE
 
     def test_refuses_non_reversible(self):
         with pytest.raises(NotReversibleError):

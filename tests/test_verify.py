@@ -27,6 +27,7 @@ from strongrev.matrices import (
     direct_sum,
     offsets,
 )
+from strongrev.partitions import Partition
 from strongrev.reversal import (
     classify,
     involutive_witness,
@@ -169,15 +170,12 @@ class TestBundlesReverify:
         ]
         for spec in specs:
             bundle = involutive_witness(spec)
-            report = check_witness(bundle.a, bundle.g)
-            assert report.reverses == bundle.reverses
-            assert report.involution == bundle.is_involution
-            assert report.determinant == bundle.determinant
+            assert check_witness(bundle.a, bundle.g) == bundle.report
         for spec in [JordanSpec([(G(1), 2)]), JordanSpec([(G(2), 1), (HALF, 1)])]:
             bundle = sl_reverser_witness(spec)
             report = check_witness(bundle.a, bundle.g)
             assert report.reverses and report.determinant == ONE
-            assert report.involution == bundle.is_involution
+            assert report == bundle.report
 
     @pytest.mark.parametrize(
         "construct, blocks",
@@ -204,7 +202,7 @@ class TestInverseFreeVerification:
             assert bundle.report.all_good()
             assert check_witness(bundle.a, bundle.g).all_good()
         bundle = sl_reverser_witness(JordanSpec([(G(1), 2)]))
-        assert bundle.reverses and not bundle.is_involution
+        assert bundle.report.reverses and not bundle.report.involution
 
     def test_failing_residual_position_is_unchanged(self):
         # g A g^{-1} vs A^{-1} first differs at (1, 6); A g A vs g would
@@ -367,7 +365,7 @@ class TestRunEndInvolutionCheck:
         # reversible-only specs: g^2 is -I on the +-1 blocks of size 2 mod 4
         # and on the odd pairs, I elsewhere
         bundle = sl_reverser_witness(JordanSpec(blocks))
-        assert bundle.reverses and not bundle.is_involution
+        assert bundle.report.reverses and not bundle.report.involution
         self.agrees(bundle.a, bundle.g)
         for a, g in [(bundle.a, bundle.g), _rescaled(bundle.a, bundle.g, random.Random(1))]:
             assert _square_difference(g, -1, _run_starts(a)) == dense_square_difference(
@@ -793,6 +791,27 @@ class TestClassificationSweep:
         summary = classification_sweep(SpecGenerator(4, (ONE,)))
         assert summary["failures"]
 
+    @pytest.mark.parametrize(
+        "fields, got",
+        [({"odd_block_present": True}, "free"), ({"parity_even": True}, "forced +1")],
+    )
+    def test_records_a_reversible_only_report_without_forced_minus(self, monkeypatch, fields, got):
+        # a reversible-only verdict whose sign fields do not force -1
+        real = reversal_module.classify
+        monkeypatch.setattr(
+            reversal_module, "classify", lambda spec: dataclasses.replace(real(spec), **fields)
+        )
+
+        class Feed:
+            def specs(self):
+                return iter([JordanSpec([(ONE, 2)])])
+
+        summary = classification_sweep(Feed())
+        assert summary["involutive_reversers_checked"] == 0
+        assert summary["failures"] == [
+            {"spec": JordanSpec([(ONE, 2)]).to_json_dict(), "problem": f"expected Forced(-1), got {got}"}
+        ]
+
     # Three reversible-only specs among two strongly reversible ones and one
     # that is not reversible; only those three reach the reverser loop.
     REVERSIBLE_ONLY = [
@@ -1072,10 +1091,10 @@ def _report_fields(report) -> dict:
     return {
         "reversible": report.reversible,
         "strongly_reversible": report.strongly_reversible,
-        "p": report.p,
-        "q": report.q,
-        "plus": list(report.partition_plus.parts),
-        "minus": list(report.partition_minus.parts),
+        "p": sum(report.plus_sizes),
+        "q": sum(report.minus_sizes),
+        "plus": list(Partition(report.plus_sizes).parts),
+        "minus": list(Partition(report.minus_sizes).parts),
         "odd": report.odd_block_present,
         "parity_value": report.parity_value,
         "parity_even": report.parity_even,
