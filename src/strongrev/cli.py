@@ -34,6 +34,12 @@ __all__ = ["main", "entrypoint"]
 # have more rows or columns than this, before building it; classify builds none.
 MAX_DIMENSION = 512
 
+# verify refuses (exit 3) a matrix entry whose text is longer than this,
+# before parsing any entry: CPython converts between int and text in time
+# that grows faster than the digit count.  The tallest entries a witness
+# prints in the tests and CI have about 4 400 characters.
+MAX_ENTRY_LENGTH = 10_000
+
 # selftest refuses (exit 3) a larger --max-n: its exhaustive sweep grows
 # quickly with n, and --max-n 9 already takes seconds.
 MAX_SELFTEST_N = 10
@@ -80,12 +86,22 @@ def _check_dimension(path: str, n: int) -> None:
 
 def _matrix_json(path: str) -> dict:
     """The JSON of a matrix file, with its rows and cols checked against
-    MAX_DIMENSION; no entry is read."""
+    MAX_DIMENSION and the length of each distinct entry text against
+    MAX_ENTRY_LENGTH; no entry is parsed.  An entries grid of any other
+    shape is left for the matrix reader to refuse."""
     data = _load_json(path)
     try:
         _check_dimension(path, max(as_int(data["rows"]), as_int(data["cols"])))
     except (KeyError, TypeError) as exc:
         raise CliInputError(f"{path}: invalid matrix: {exc}") from exc
+    entries = data.get("entries")
+    if isinstance(entries, list) and all(isinstance(row, list) for row in entries):
+        texts = {v for row in entries for v in row if isinstance(v, str)}
+        longest = max(map(len, texts), default=0)
+        if longest > MAX_ENTRY_LENGTH:
+            raise CliInputError(
+                f"{path}: matrix entry of {longest} characters exceeds the limit {MAX_ENTRY_LENGTH}"
+            )
     return data
 
 

@@ -19,9 +19,10 @@ J(lam, n) + J(1/lam, n).  Scaling by upper triangular Toeplitz matrices
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 from .canonical import JordanSpec, jordan_matrix, sample_centralizer, weyr_form
 from .matrices import (
@@ -32,7 +33,7 @@ from .matrices import (
     inflate,
     offsets,
 )
-from .scalars import GaussianRational, MINUS_ONE, ONE, ZERO, as_scalar, inverse_triple
+from .scalars import GaussianRational, MINUS_ONE, ONE, ZERO, as_scalar, from_triple, inverse_triple
 from .scalars import I as IMAGINARY
 
 __all__ = [
@@ -297,18 +298,43 @@ def involution_det_sign(spec: JordanSpec) -> set[int]:
     return {1 if report.parity_even else -1}
 
 
+class _Reversers(dict):
+    """u * R(lam, d) under the key (triple of lam, d, triple of u), each
+    built on first use: R(lam, d) by jordan_reverser, and any other
+    multiple by scaling it.  A table lives as long as its caller keeps it,
+    such as one classification sweep.  ExactMatrix.from_blocks copies what
+    it places, so every reverser assembled from the table is its own
+    matrix."""
+
+    def __missing__(self, key):
+        triple, size, unit = key
+        if unit == _ONE:
+            value = jordan_reverser(from_triple(*triple), size)
+        else:
+            value = self[triple, size, _ONE].scale(from_triple(*unit))
+        self[key] = value
+        return value
+
+
 def block_reversers(spec: JordanSpec) -> list[ExactMatrix]:
     """R(lam, d) for every block (lam, d) of the spec, in block order; equal
     blocks share one matrix, built once."""
-    built: dict[tuple[tuple[int, int, int], int], ExactMatrix] = {}
-    out = []
-    for eig, size in spec.blocks:
-        key = (eig.triple, size)
-        r = built.get(key)
-        if r is None:
-            r = built[key] = jordan_reverser(eig, size)
-        out.append(r)
-    return out
+    reversers = _Reversers()
+    return [reversers[eig.triple, size, _ONE] for eig, size in spec.blocks]
+
+
+def _placements(spec: JordanSpec, report: StrongReversibilityReport) -> list[tuple[int, int]]:
+    """The (row, column) offset of each block's reverser under the
+    placement rule of assemble_block_reverser."""
+    partner = {idx: idx for idx in report.singletons}
+    for i, j in report.pairs:
+        partner[i], partner[j] = j, i
+    offs = offsets(size for _, size in spec.blocks)
+    return [(offs[idx], offs[partner[idx]]) for idx in range(len(spec.blocks))]
+
+
+def _assemble(n: int, placements: list[tuple[int, int]], blocks: Sequence[ExactMatrix]) -> ExactMatrix:
+    return ExactMatrix.from_blocks(n, [(r, c, block) for (r, c), block in zip(placements, blocks)])
 
 
 def assemble_block_reverser(
@@ -324,28 +350,52 @@ def assemble_block_reverser(
     scales of every pair multiply to 1.  The blocks are copied, so callers
     may share them between results.
     """
-    partner = {idx: idx for idx in report.singletons}
-    for i, j in report.pairs:
-        partner[i], partner[j] = j, i
-    offs = offsets(size for _, size in spec.blocks)
-    return ExactMatrix.from_blocks(
-        spec.n,
-        [(offs[idx], offs[partner[idx]], block) for idx, block in enumerate(blocks)],
-    )
+    return _assemble(spec.n, _placements(spec, report), blocks)
 
 
-def _witness(
-    spec: JordanSpec, report: StrongReversibilityReport, scales: Sequence[GaussianRational],
-    transcript: list[str], require_involution: bool,
-) -> WitnessBundle:
-    """assemble_block_reverser with blocks[idx] = scales[idx] * R(lam, d),
-    checked once against jordan_matrix(spec); a g that fails the check
-    raises instead of being returned."""
-    blocks = [
-        r if scale == ONE else r.scale(scale)
-        for r, scale in zip(block_reversers(spec), scales)
+# (u, 1/u) for the units u in 1, -1, i, -i, as triples.
+_UNIT_PAIRS = tuple((u.triple, u.inverse().triple) for u in (ONE, MINUS_ONE, IMAGINARY, -IMAGINARY))
+
+
+def _involutive_reversers(
+    spec: JordanSpec, report: StrongReversibilityReport, reversers: _Reversers
+) -> Iterator[ExactMatrix]:
+    """Every blockwise involutive reverser of a reversible spec: each +-1
+    sign on each singleton block and each pair scaled by (u, 1/u) for the
+    units u, in that order.  Every block comes from reversers, and the
+    placements are worked out once; each result is its own matrix."""
+    keys = [(eig.triple, size) for eig, size in spec.blocks]
+    # One list of choices per singleton and per pair; a choice is the
+    # (block index, block) entries it sets.
+    options = [
+        [((idx, reversers[(*keys[idx], sign)]),) for sign in (_ONE, _MINUS_ONE)]
+        for idx in report.singletons
+    ] + [
+        [((i, reversers[(*keys[i], u)]), (j, reversers[(*keys[j], v)])) for u, v in _UNIT_PAIRS]
+        for i, j in report.pairs
     ]
-    g = assemble_block_reverser(spec, report, blocks)
+    placements = _placements(spec, report)
+    blocks = [reversers[(*key, _ONE)] for key in keys]
+    for combo in itertools.product(*options):
+        for choice in combo:
+            for idx, block in choice:
+                blocks[idx] = block
+        yield _assemble(spec.n, placements, blocks)
+
+
+def _checked(
+    spec: JordanSpec, report: StrongReversibilityReport, scales: Sequence[GaussianRational],
+    reversers: _Reversers, require_involution: bool, transcript: Callable[[], list[str]],
+) -> tuple[ExactMatrix, ExactMatrix, VerificationReport]:
+    """(a, g, check) for the blockwise reverser g with block idx
+    scales[idx] * R(lam, d), taken from reversers, checked once against
+    a = jordan_matrix(spec).  A g that fails the check raises instead of
+    being returned, with the construction's lines from transcript()."""
+    g = _assemble(
+        spec.n,
+        _placements(spec, report),
+        [reversers[eig.triple, size, scale.triple] for (eig, size), scale in zip(spec.blocks, scales)],
+    )
     a = jordan_matrix(spec)
     check = check_witness(a, g)
     if not check.reverses or not check.in_special or (
@@ -354,8 +404,20 @@ def _witness(
         raise RuntimeError(
             "internal error: constructed witness failed verification "
             f"(reverses={check.reverses}, involution={check.involution}, "
-            f"det={check.determinant}); transcript: " + "; ".join(transcript)
+            f"det={check.determinant}); transcript: " + "; ".join(transcript())
         )
+    return a, g, check
+
+
+def _witness(
+    spec: JordanSpec, report: StrongReversibilityReport, scales: Sequence[GaussianRational],
+    transcript: list[str], require_involution: bool,
+) -> WitnessBundle:
+    """The bundle of the checked blockwise reverser with the given scales,
+    each R(lam, d) and multiple built once for this call."""
+    a, g, check = _checked(
+        spec, report, scales, _Reversers(), require_involution, lambda: transcript
+    )
     return WitnessBundle(a, g, check, tuple(transcript))
 
 
@@ -371,42 +433,80 @@ def involutive_witness(spec: JordanSpec) -> WitnessBundle:
     return _involutive_witness(spec, classify(spec))
 
 
-def _involutive_witness(spec: JordanSpec, report: StrongReversibilityReport) -> WitnessBundle:
-    """involutive_witness given report = classify(spec)."""
-    if not report.reversible:
-        raise NotReversibleError(f"spec is not reversible: {spec!r}")
-    if not report.strongly_reversible:
-        raise NotStronglyReversibleError()
-    transcript: list[str] = []
+def _involutive_scales(
+    spec: JordanSpec, report: StrongReversibilityReport
+) -> tuple[list[GaussianRational], int | None]:
+    """The block scales of the involutive witness of a strongly reversible
+    report, and the odd block whose scale was flipped, if any."""
     scales = [ONE] * len(spec.blocks)
-    odd_indices: list[int] = []
+    first_odd = None
+    for idx in report.singletons:
+        size = spec.blocks[idx][1]
+        if size % 2:
+            # (-1)^(d(d-1)/2), which is -1 exactly when d = 3 mod 4
+            scales[idx] = MINUS_ONE if size % 4 == 3 else ONE
+            if first_odd is None:
+                first_odd = idx
+    # The forced contributions multiply to (-1)^parity_value.
+    if report.parity_even:
+        return scales, None
+    if first_odd is None:
+        raise RuntimeError(
+            "internal error: forced sign -1 with no odd block to flip; "
+            "classifier and constructor disagree"
+        )
+    scales[first_odd] = -scales[first_odd]
+    return scales, first_odd
+
+
+def _involutive_transcript(
+    spec: JordanSpec, report: StrongReversibilityReport,
+    scales: list[GaussianRational], flip: int | None,
+) -> list[str]:
+    """The lines that explain _involutive_scales: each block's scale before
+    the flip and its determinant sign, then the flip."""
+    transcript = []
     for idx in report.singletons:
         eig, size = spec.blocks[idx]
         if size % 2 == 0:
             det = -1 if size % 4 == 2 else 1
             transcript.append(f"block {idx}: J({eig},{size}) even, scale 1, det {det:+d}")
         else:
-            # (-1)^(d(d-1)/2), which is -1 exactly when d = 3 mod 4
-            scales[idx] = MINUS_ONE if size % 4 == 3 else ONE
-            odd_indices.append(idx)
-            transcript.append(f"block {idx}: J({eig},{size}) odd, scale {scales[idx]}, det +1")
+            scale = -scales[idx] if idx == flip else scales[idx]
+            transcript.append(f"block {idx}: J({eig},{size}) odd, scale {scale}, det +1")
     for i, j in report.pairs:
         lam, size = spec.blocks[i]
         transcript.append(
             f"pair ({i},{j}): J({lam},{size}) with J({lam.inverse()},{size}), "
             f"det {-1 if size % 2 else 1:+d}"
         )
-    # The forced contributions multiply to (-1)^parity_value.
-    if not report.parity_even:
-        if not odd_indices:
-            raise RuntimeError(
-                "internal error: forced sign -1 with no odd block to flip; "
-                "classifier and constructor disagree"
-            )
-        flip = odd_indices[0]
-        scales[flip] = -scales[flip]
+    if flip is not None:
         transcript.append(f"block {flip}: flipped scale to absorb forced sign -1")
+    return transcript
+
+
+def _involutive_witness(spec: JordanSpec, report: StrongReversibilityReport) -> WitnessBundle:
+    """involutive_witness given report = classify(spec)."""
+    if not report.reversible:
+        raise NotReversibleError(f"spec is not reversible: {spec!r}")
+    if not report.strongly_reversible:
+        raise NotStronglyReversibleError()
+    scales, flip = _involutive_scales(spec, report)
+    transcript = _involutive_transcript(spec, report, scales, flip)
     return _witness(spec, report, scales, transcript, require_involution=True)
+
+
+def _check_involutive(
+    spec: JordanSpec, report: StrongReversibilityReport, reversers: _Reversers
+) -> None:
+    """The check of _involutive_witness(spec, report) for a strongly
+    reversible report, on the same g built from reversers; the transcript
+    is rendered only for the error a failed check raises."""
+    scales, flip = _involutive_scales(spec, report)
+    _checked(
+        spec, report, scales, reversers, True,
+        lambda: _involutive_transcript(spec, report, scales, flip),
+    )
 
 
 def sl_reverser_witness(spec: JordanSpec) -> WitnessBundle:

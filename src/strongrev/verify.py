@@ -9,7 +9,6 @@ path cannot silently agree with itself.
 from __future__ import annotations
 
 import bisect
-import itertools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -134,25 +133,9 @@ def iter_involutive_reversers(
     all +-1 sign patterns on singleton blocks, and every pair scaled by
     (u, 1/u) for the units u in 1, -1, i, -i.
 
-    Each R(lam, d) and its unit multiples are built once per spec; the loop
+    Each R(lam, d) and its unit multiples are built once per call; the loop
     only picks one choice per singleton and per pair and places them."""
-    base = reversal.block_reversers(spec)
-    units = (ONE, MINUS_ONE, IMAGINARY, -IMAGINARY)
-    # One list of choices per singleton and per pair; a choice is the
-    # (block index, block) entries it sets.
-    options = [
-        [((idx, base[idx].scale(sign)),) for sign in (ONE, MINUS_ONE)]
-        for idx in report.singletons
-    ] + [
-        [((i, base[i].scale(u)), (j, base[j].scale(u.inverse()))) for u in units]
-        for i, j in report.pairs
-    ]
-    blocks = list(base)
-    for combo in itertools.product(*options):
-        for choice in combo:
-            for idx, block in choice:
-                blocks[idx] = block
-        yield reversal.assemble_block_reverser(spec, report, blocks)
+    return reversal._involutive_reversers(spec, report, reversal._Reversers())
 
 
 def _new_summary(name: str) -> dict:
@@ -172,7 +155,9 @@ def classification_sweep(gen: SpecGenerator) -> dict:
 
     Only ``gen.specs()`` is read, so any object with that method can feed
     the sweep, and every spec it yields is counted.  Each spec is classified
-    once, and its witness or reversers are built from that report."""
+    once, and its witness or reversers are built from that report.  Each
+    R(lam, d) and unit multiple is built once per call, in one table that
+    every witness and reverser of the sweep is assembled from."""
     summary = _new_summary("classification_sweep")
     summary.update(
         not_reversible=0,
@@ -181,6 +166,7 @@ def classification_sweep(gen: SpecGenerator) -> dict:
         witnesses_verified=0,
         involutive_reversers_checked=0,
     )
+    reversers = reversal._Reversers()
 
     def fail(problem: str, **extra) -> None:  # a failure of the current spec
         _fail(summary, spec=spec.to_json_dict(), problem=problem, **extra)
@@ -195,7 +181,7 @@ def classification_sweep(gen: SpecGenerator) -> dict:
             if report.strongly_reversible:
                 summary["strongly_reversible"] += 1
                 # raises unless the witness passes check_witness
-                reversal._involutive_witness(spec, report)
+                reversal._check_involutive(spec, report, reversers)
                 summary["witnesses_verified"] += 1
             else:
                 summary["reversible_only"] += 1
@@ -204,7 +190,7 @@ def classification_sweep(gen: SpecGenerator) -> dict:
                     fail(f"expected Forced(-1), got {got}")
                     continue
                 a = jordan_matrix(spec)
-                for g in iter_involutive_reversers(spec, report):
+                for g in reversal._involutive_reversers(spec, report, reversers):
                     summary["involutive_reversers_checked"] += 1
                     vr = check_witness(a, g)
                     if not (vr.reverses and vr.involution):

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import reference_parse
-from strongrev.cli import MAX_DIMENSION, MAX_SELFTEST_N, _json_text, main, witness_text
+import strongrev.matrices as matrices_module
+from strongrev.cli import MAX_DIMENSION, MAX_ENTRY_LENGTH, MAX_SELFTEST_N, _json_text, main, witness_text
 from strongrev.canonical import JordanSpec, jordan_matrix
 from strongrev.matrices import ExactMatrix
 from strongrev.scalars import GaussianRational
@@ -417,6 +418,43 @@ class TestDimensionLimit:
         assert main(["classify", "--input", path, "--format", "text"]) == 0
         out = capsys.readouterr().out
         assert "[]" * MAX_DIMENSION + "\n[]\n" in out and "omitted" not in out
+
+
+class TestEntryLengthLimit:
+    """verify refuses an entry text longer than MAX_ENTRY_LENGTH before it
+    parses any entry of either file."""
+
+    def one_by_one(self, tmp_path, name, text):
+        return write_json(tmp_path / name, {"rows": 1, "cols": 1, "entries": [[text]]})
+
+    def test_entry_at_the_limit_is_read(self, tmp_path, capsys):
+        # g = 10^(L-1) reverses a = 1 but is no involution: a verdict, not a refusal
+        a = self.one_by_one(tmp_path, "a.json", "1")
+        g = self.one_by_one(tmp_path, "g.json", "1" + "0" * (MAX_ENTRY_LENGTH - 1))
+        assert main(["verify", "--matrix-a", a, "--matrix-g", g, "--format", "json"]) == 1
+        report = json.loads(capsys.readouterr().out)["report"]
+        assert report["reverses"] and not report["involution"]
+
+    def test_longer_entry_refused_before_any_entry_is_parsed(self, tmp_path, capsys, monkeypatch):
+        def refuse(text):
+            raise AssertionError("an entry was parsed")
+
+        monkeypatch.setattr(matrices_module, "parse", refuse)
+        a = self.one_by_one(tmp_path, "a.json", "x")
+        g = self.one_by_one(tmp_path, "g.json", "1" * (MAX_ENTRY_LENGTH + 1))
+        assert main(["verify", "--matrix-a", a, "--matrix-g", g]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {g}: matrix entry of {MAX_ENTRY_LENGTH + 1} characters "
+            f"exceeds the limit {MAX_ENTRY_LENGTH}\n"
+        )
+
+    def test_a_megabyte_entry_is_refused_at_once(self, tmp_path, capsys):
+        a = self.one_by_one(tmp_path, "a.json", "1")
+        g = self.one_by_one(tmp_path, "g.json", "9" * 10**6)
+        assert main(["verify", "--matrix-a", a, "--matrix-g", g]) == 3
+        assert f"exceeds the limit {MAX_ENTRY_LENGTH}" in capsys.readouterr().err
 
 
 class TestExitCodes:

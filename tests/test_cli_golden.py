@@ -46,6 +46,7 @@ CASES = dict(
     + _formats("classify-malformed-double-slash", ["classify", "--input", "bad_double_slash.json"])
     + _formats("classify-malformed-duplicate-key", ["classify", "--input", "duplicate_key.json"])
     + _formats("verify-malformed-entry", ["verify", "--matrix-a", "bad_entry_a.json", "--matrix-g", "pass_g.json"])
+    + _formats("verify-long-entry", ["verify", "--matrix-a", "pass_a.json", "--matrix-g", "long_entry_g.json"])
     + _formats("selftest-max-n-2", ["selftest", "--max-n", "2"])
 )
 

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -830,7 +831,7 @@ class TestClassificationSweep:
         """The sweep over MIXED_SPECS with two identity matrices in place of
         each spec's involutive reversers."""
 
-        def identities(spec, report):
+        def identities(spec, report, reversers):
             for _ in range(2):
                 yield ExactMatrix.identity(spec.n)
 
@@ -838,7 +839,7 @@ class TestClassificationSweep:
             def specs(self):
                 return iter(TestClassificationSweep.MIXED_SPECS)
 
-        monkeypatch.setattr(verify_module, "iter_involutive_reversers", identities)
+        monkeypatch.setattr(reversal_module, "_involutive_reversers", identities)
         summary = classification_sweep(Feed())
         tallies = {key: summary[key] for key in (
             "cases", "not_reversible", "strongly_reversible", "reversible_only",
@@ -1135,6 +1136,61 @@ def test_sweep_classifies_each_spec_once(monkeypatch):
     summary = classification_sweep(SpecGenerator(6, DEFAULT_POOL))
     assert summary["failures"] == []
     assert calls == summary["cases"]
+
+
+def test_sweep_summary_is_pinned():
+    # Measured before the sweep shared one reverser table between its specs;
+    # a table that skipped or merged a reverser would move a count.
+    assert classification_sweep(SpecGenerator(7, DEFAULT_POOL)) == {
+        "name": "classification_sweep",
+        "cases": 10228,
+        "failures": [],
+        "not_reversible": 9712,
+        "strongly_reversible": 472,
+        "reversible_only": 44,
+        "witnesses_verified": 472,
+        "involutive_reversers_checked": 744,
+    }
+
+
+def test_sweep_builds_each_block_reverser_once(monkeypatch):
+    built = Counter()
+    real = reversal_module.jordan_reverser
+
+    def counting(eigenvalue, n):
+        built[eigenvalue.triple, n] += 1
+        return real(eigenvalue, n)
+
+    monkeypatch.setattr(reversal_module, "jordan_reverser", counting)
+    gen = SpecGenerator(6, MIXED_POOL)
+    assert classification_sweep(gen)["failures"] == []
+    blocks = {
+        (eig.triple, size)
+        for spec in gen.specs() if classify(spec).reversible
+        for eig, size in spec.blocks
+    }
+    assert built == Counter(dict.fromkeys(blocks, 1))
+
+
+@pytest.mark.parametrize("pool", [DEFAULT_POOL, MIXED_POOL], ids=["default", "mixed"])
+def test_sweep_checks_the_involutive_witness(monkeypatch, pool):
+    """The g the sweep checks for each strongly reversible spec, from its
+    shared table, is the g of involutive_witness(spec)."""
+    swept = []
+    real = reversal_module.check_witness
+
+    def recording(a, g):
+        swept.append(g)
+        return real(a, g)
+
+    monkeypatch.setattr(reversal_module, "check_witness", recording)
+    gen = SpecGenerator(6, pool)
+    summary = classification_sweep(gen)
+    monkeypatch.undo()
+    assert summary["failures"] == []
+    expected = [involutive_witness(spec).g for spec in gen.specs() if classify(spec).strongly_reversible]
+    assert len(expected) == summary["witnesses_verified"] > 0
+    assert swept == expected
 
 
 def test_rejected_witness_raises_and_the_sweep_records_it(monkeypatch):
