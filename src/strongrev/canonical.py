@@ -18,7 +18,7 @@ from typing import Iterable
 
 from .matrices import ExactMatrix, PermutationMap, direct_sum, inflate, offsets
 from .partitions import Partition
-from .scalars import GaussianRational, ZERO, as_int, as_scalar, parse
+from .scalars import GaussianRational, ZERO, as_int, as_scalar, json_fields, parse
 
 __all__ = [
     "JordanSpec",
@@ -75,8 +75,8 @@ class JordanSpec:
         """Spec from a block tuple that is already checked and in canonical
         order, with no validation or re-ranking: the caller guarantees that
         ``JordanSpec(blocks).blocks == blocks``."""
-        spec = object.__new__(cls)
-        object.__setattr__(spec, "blocks", blocks)
+        spec = _new(cls)
+        _set_blocks(spec, blocks)
         return spec
 
     @property
@@ -111,14 +111,29 @@ class JordanSpec:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "JordanSpec":
-        """Strict reader: eigenvalues are scalar text and sizes are JSON
-        integers; nothing else is coerced."""
-        return cls([(parse(b["eigenvalue"]), as_int(b["size"])) for b in data["blocks"]])
+        """Strict reader: an object whose one key "blocks" holds a list of
+        objects with the keys "eigenvalue", scalar text, and "size", a JSON
+        integer; nothing else is read or coerced."""
+        (blocks,) = json_fields(data, ("blocks",), "the spec")
+        if not isinstance(blocks, list):
+            raise ValueError("blocks must be a JSON array")
+        names = ("eigenvalue", "size")
+        fields = (json_fields(b, names, f"blocks[{k}]") for k, b in enumerate(blocks))
+        return cls([(parse(eig), as_int(size)) for eig, size in fields])
+
+
+_new = object.__new__
+_set_blocks = JordanSpec.blocks.__set__
 
 
 def _jordan(blocks: list[tuple[tuple[int, int, int], int]]) -> ExactMatrix:
     """Direct sum of the Jordan blocks J(lam, m) given as (triple of lam, m)
-    pairs, built in one pass over the lcm d of the eigenvalue denominators."""
+    pairs, built in one pass over the lcm d of the eigenvalue denominators.
+
+    The result is normalized as built.  For a prime p dividing d, take an
+    eigenvalue (a + b*i)/e whose e holds the highest power of p in d: p
+    divides e but not d / e, and gcd(a, b, e) = 1, so p misses a or b and
+    with it a * d / e or b * d / e on that block's diagonal."""
     d = math.lcm(*(e for (_, _, e), _ in blocks))
     n = sum(size for _, size in blocks)
     re = [[0] * n for _ in range(n)]
@@ -131,7 +146,7 @@ def _jordan(blocks: list[tuple[tuple[int, int, int], int]]) -> ExactMatrix:
         for i in range(k, k + size - 1):
             re[i][i + 1] = d
         k += size
-    return ExactMatrix.from_numerators(re, im, d)
+    return ExactMatrix._from_normalized(re, im, d)
 
 
 def jordan_block(eigenvalue, size: int) -> ExactMatrix:

@@ -26,7 +26,7 @@ from .matrices import (
     format_grid,
 )
 from .partitions import Partition
-from .scalars import as_int
+from .scalars import as_int, json_fields
 
 __all__ = ["main", "entrypoint"]
 
@@ -75,7 +75,7 @@ def _load_spec(path: str) -> JordanSpec:
     data = _load_json(path)
     try:
         return JordanSpec.from_json_dict(data)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise CliInputError(f"{path}: invalid Jordan spec: {exc}") from exc
 
 
@@ -85,16 +85,16 @@ def _check_dimension(path: str, n: int) -> None:
 
 
 def _matrix_json(path: str) -> dict:
-    """The JSON of a matrix file, with its rows and cols checked against
-    MAX_DIMENSION and the length of each distinct entry text against
+    """The JSON of a matrix file, with its keys checked, its rows and cols
+    against MAX_DIMENSION and the length of each distinct entry text against
     MAX_ENTRY_LENGTH; no entry is parsed.  An entries grid of any other
     shape is left for the matrix reader to refuse."""
     data = _load_json(path)
     try:
-        _check_dimension(path, max(as_int(data["rows"]), as_int(data["cols"])))
-    except (KeyError, TypeError) as exc:
+        rows, cols, entries = json_fields(data, ("rows", "cols", "entries"), "the matrix")
+        _check_dimension(path, max(as_int(rows), as_int(cols)))
+    except (TypeError, ValueError) as exc:
         raise CliInputError(f"{path}: invalid matrix: {exc}") from exc
-    entries = data.get("entries")
     if isinstance(entries, list) and all(isinstance(row, list) for row in entries):
         texts = {v for row in entries for v in row if isinstance(v, str)}
         longest = max(map(len, texts), default=0)
@@ -108,7 +108,7 @@ def _matrix_json(path: str) -> dict:
 def _read_matrix(path: str, data: dict) -> ExactMatrix:
     try:
         return ExactMatrix.from_json_dict(data)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise CliInputError(f"{path}: invalid matrix: {exc}") from exc
 
 

@@ -8,6 +8,7 @@ verification transcript built from them cannot be invalidated later.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from math import gcd, lcm, prod
 from typing import Iterable, Sequence
@@ -21,6 +22,7 @@ from .scalars import (
     as_scalar,
     format_triple,
     from_triple,
+    json_fields,
     parse,
 )
 
@@ -215,8 +217,16 @@ class ExactMatrix:
         """The matrix (re + im*i)/d, normalized, for equally long nonempty
         rows of ints and an int d > 0.  The row lists are taken over, not
         copied."""
+        return cls._from_normalized(*_normalized(re, im, d))
+
+    @classmethod
+    def _from_normalized(
+        cls, re: list[list[int]], im: list[list[int]], d: int
+    ) -> "ExactMatrix":
+        """from_numerators for rows and d that are already normalized: the
+        caller guarantees that no prime divides d and every numerator."""
         m = object.__new__(cls)
-        _fill(m, *_normalized(re, im, d))
+        _fill(m, re, im, d)
         return m
 
     def __hash__(self) -> int:
@@ -238,23 +248,43 @@ class ExactMatrix:
         cls, n: int, placements: Iterable[tuple[int, int, "ExactMatrix"]]
     ) -> "ExactMatrix":
         """n x n matrix that is zero except for each (row0, col0, block)
-        placement, which puts the block's top-left entry at (row0, col0)."""
+        placement, which puts the block's top-left entry at (row0, col0).
+        Blocks may share rows, but a block placed over a nonzero entry of an
+        earlier one raises ValueError.
+
+        The result is normalized as built.  Over the lcm d of the block
+        denominators, block k's numerators are multiplied by d / d_k.  For a
+        prime p dividing d, take a block k whose d_k holds the highest power
+        of p in d: p divides d_k but not d / d_k, and block k is normalized,
+        so p misses one of its numerators and that numerator times d / d_k.
+        So no prime divides d and every numerator.  A row is concatenated
+        from zeros and block rows the first time a block reaches it.
+        """
         placements = list(placements)
         d = lcm(*(block._d for _, _, block in placements))
-        re = [[0] * n for _ in range(n)]
-        im = [[0] * n for _ in range(n)]
+        re: list = [None] * n
+        im: list = [None] * n
         for row0, col0, block in placements:
             if not (0 <= row0 <= n - block.rows and 0 <= col0 <= n - block.cols):
                 raise ValueError(
                     f"{block.rows}x{block.cols} block at ({row0}, {col0}) "
                     f"does not fit in {n}x{n}"
                 )
-            f = d // block._d
-            cols = slice(col0, col0 + block.cols)
-            for i, (br, bi) in enumerate(zip(block._re, block._im), row0):
-                re[i][cols] = br if f == 1 else [x * f for x in br]
-                im[i][cols] = bi if f == 1 else [x * f for x in bi]
-        return cls.from_numerators(re, im, d)
+            f, end = d // block._d, col0 + block.cols
+            left, right = [0] * col0, [0] * (n - end)
+            for i, br, bi in zip(range(row0, n), block._re, block._im):
+                if f != 1:
+                    br, bi = [x * f for x in br], [x * f for x in bi]
+                if re[i] is None:
+                    re[i], im[i] = left + br + right, left + bi + right
+                elif any(re[i][col0:end]) or any(im[i][col0:end]):
+                    raise ValueError(f"block at ({row0}, {col0}) overlaps an earlier block")
+                else:
+                    re[i][col0:end], im[i][col0:end] = br, bi
+        for i in range(n):
+            if re[i] is None:
+                re[i], im[i] = [0] * n, [0] * n
+        return cls._from_normalized(re, im, d)
 
     def __getitem__(self, key) -> GaussianRational:
         i, j = key
@@ -388,26 +418,33 @@ class ExactMatrix:
         return self == ExactMatrix.identity(self.rows)
 
     def to_json_dict(self) -> dict:
-        return {
-            "rows": self.rows,
-            "cols": self.cols,
-            "entries": [
-                [format_triple(a, b, self._d) if a or b else "0" for a, b in zip(r, i)]
-                for r, i in zip(self._re, self._im)
-            ],
-        }
+        """Rows, cols and the entry text.  Each row starts as a copy of a row
+        of "0" and only its nonzero entries are formatted, a real row over
+        denominator 1 by str of the numerator."""
+        d, cols, zeros = self._d, range(self.cols), ["0"] * self.cols
+        entries = []
+        for r, i in zip(self._re, self._im):
+            row = zeros.copy()
+            if d == 1 and not any(i):
+                for j in itertools.compress(cols, r):
+                    row[j] = str(r[j])
+            else:
+                for j in itertools.compress(cols, map(operator.or_, r, i)):
+                    row[j] = format_triple(r[j], i[j], d)
+            entries.append(row)
+        return {"rows": self.rows, "cols": self.cols, "entries": entries}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ExactMatrix":
-        """Strict reader: rows and cols are JSON integers and entries is a
-        list of lists of scalar text; nothing else is coerced.
+        """Strict reader: an object with the keys rows and cols, JSON
+        integers, and entries, a list of lists of scalar text; nothing else
+        is read or coerced.
 
         Each distinct text is parsed once, in order of first appearance, so
         a malformed grid raises what parsing its first bad entry in
         row-major order raises."""
-        rows = as_int(data["rows"])
-        cols = as_int(data["cols"])
-        entries = data["entries"]
+        rows, cols, entries = json_fields(data, ("rows", "cols", "entries"), "the matrix")
+        rows, cols = as_int(rows), as_int(cols)
         if not isinstance(entries, list) or not all(isinstance(r, list) for r in entries):
             raise ValueError("entries must be a list of rows, each a list")
         if len(entries) != rows or any(len(r) != cols for r in entries):

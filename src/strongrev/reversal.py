@@ -33,7 +33,7 @@ from .matrices import (
     inflate,
     offsets,
 )
-from .scalars import GaussianRational, MINUS_ONE, ONE, ZERO, as_scalar, from_triple, inverse_triple
+from .scalars import GaussianRational, MINUS_ONE, ONE, ZERO, as_scalar, from_triple
 from .scalars import I as IMAGINARY
 
 __all__ = [
@@ -238,19 +238,20 @@ def classify(spec: JordanSpec) -> StrongReversibilityReport:
     One walk over the blocks pairs each (lam, r) block greedily with a
     (1/lam, r) block, ties broken by spec order, and collects the sizes of
     the +-1 blocks, which stand alone.  It reads each eigenvalue's triple
-    once per run of equal eigenvalues.
+    and kept inverse key once per run of one scalar object.  A queue of
+    unpaired blocks is dropped once it empties, so the spec is reversible
+    exactly when no queue is left.
     """
     blocks = spec.blocks
     pairs, singletons, plus, minus = [], [], [], []
-    # Unpaired blocks by (normalized triple, size).
+    # Unpaired blocks by (normalized triple, size), each queue nonempty.
     waiting: dict[tuple[tuple[int, int, int], int], list[int]] = {}
     odd = singly_even = rest = 0
-    run = triple = None
+    run = None
     for idx, (eig, size) in enumerate(blocks):
-        if eig is not run and (new := eig.triple) != triple:
-            run, triple = eig, new
+        if eig is not run:
+            run, triple, inverse = eig, eig.triple, eig.inverse_key
             unit = plus if triple == _ONE else minus if triple == _MINUS_ONE else None
-            inverse = None if unit is not None else inverse_triple(*triple)
         if unit is not None:
             singletons.append(idx)
             unit.append(size)
@@ -258,24 +259,26 @@ def classify(spec: JordanSpec) -> StrongReversibilityReport:
             singly_even += size % 4 == 2
             continue
         rest += size
-        queue = waiting.get((inverse, size))
-        if queue:
-            pairs.append((queue.pop(0), idx))
-        else:
+        key = (inverse, size)
+        queue = waiting.get(key)
+        if queue is None:
             waiting.setdefault((triple, size), []).append(idx)
-    leftover = [idx for queue in waiting.values() for idx in queue]
-    reversible = not leftover
-    if reversible and rest % 2 != 0:
+        else:
+            pairs.append((queue.pop(0), idx))
+            if not queue:
+                del waiting[key]
+    if not waiting and rest % 2 != 0:
         raise RuntimeError("internal error: paired blocks cover an odd dimension")
     parity_value = singly_even + rest // 2
     parity_even = parity_value % 2 == 0
     return _frozen(
         StrongReversibilityReport,
-        reversible=reversible,
-        strongly_reversible=reversible and (odd > 0 or parity_even),
+        reversible=not waiting,
+        strongly_reversible=not waiting and (odd > 0 or parity_even),
         pairs=tuple(pairs),
         singletons=tuple(singletons),
-        failure_witness=blocks[min(leftover)] if leftover else None,
+        # each queue holds indices in spec order, so its first is its least
+        failure_witness=blocks[min(q[0] for q in waiting.values())] if waiting else None,
         plus_sizes=tuple(plus),
         minus_sizes=tuple(minus),
         odd_block_present=odd > 0,

@@ -9,6 +9,7 @@ stores the same ints and does not go through this class.
 
 from __future__ import annotations
 
+import json
 import re as _re
 import sys
 from fractions import Fraction
@@ -22,6 +23,7 @@ __all__ = [
     "format_triple",
     "from_triple",
     "inverse_triple",
+    "json_fields",
     "parse",
     "ZERO",
     "ONE",
@@ -49,9 +51,13 @@ class GaussianRational:
     have equal triples.  Values are immutable; every operation returns a
     fresh, normalized value.  Matrix arithmetic does not go through this
     class: :class:`~strongrev.matrices.ExactMatrix` works on the ints.
+
+    The slot ``_inverse`` keeps the triple of 1/z once :attr:`inverse_key`
+    has worked it out; it is derived from the triple, so it takes no part
+    in ``==``, ``hash``, pickling or ``repr``.
     """
 
-    __slots__ = ("_a", "_b", "_d")
+    __slots__ = ("_a", "_b", "_d", "_inverse")
 
     def __init__(self, re: int | Fraction = 0, im: int | Fraction = 0):
         if not isinstance(re, (int, Fraction)) or not isinstance(im, (int, Fraction)):
@@ -88,6 +94,17 @@ class GaussianRational:
     def triple(self) -> tuple[int, int, int]:
         """The normalized ints (a, b, d) of the value (a + b*i)/d."""
         return (self._a, self._b, self._d)
+
+    @property
+    def inverse_key(self) -> tuple[int, int, int]:
+        """The normalized triple of 1/z, worked out on the first read and
+        kept on this object; zero raises ZeroDivisionError."""
+        try:
+            return self._inverse
+        except AttributeError:
+            key = inverse_triple(self._a, self._b, self._d)
+            _set_inverse(self, key)
+            return key
 
     def __add__(self, other):
         if type(other) is not GaussianRational:
@@ -228,6 +245,7 @@ _new = object.__new__
 _set_a = GaussianRational._a.__set__
 _set_b = GaussianRational._b.__set__
 _set_d = GaussianRational._d.__set__
+_set_inverse = GaussianRational._inverse.__set__
 
 
 def _triple(a: int, b: int, d: int) -> GaussianRational:
@@ -298,6 +316,22 @@ def as_int(value) -> int:
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     raise TypeError(f"expected an integer, got {type(value).__name__} {value!r}")
+
+
+def json_fields(data, names: tuple[str, ...], what: str) -> tuple:
+    """The one check of a JSON object read as input: the values under
+    names, in that order.  Anything but an object with exactly these keys
+    raises ValueError, naming the first unknown key, else the first
+    missing one."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    for key in data:
+        if key not in names:
+            raise ValueError(f"unknown key {json.dumps(key)} in {what}")
+    for key in names:
+        if key not in data:
+            raise ValueError(f"missing key {json.dumps(key)} in {what}")
+    return tuple(map(data.__getitem__, names))
 
 
 ZERO = GaussianRational(0)

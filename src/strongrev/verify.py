@@ -102,28 +102,33 @@ class SpecGenerator:
         self.max_n, self.pool = _checked_max_n_and_pool(max_n, pool)
 
     def specs(self) -> Iterator[JordanSpec]:
-        items = [(eig, size) for eig in self.pool for size in range(1, self.max_n + 1)]
-        # The recursion walks the items in pool order; each spec's blocks are
-        # its items in canonical order, so acc holds the chosen items'
-        # canonical positions, kept sorted, and every spec is built from an
-        # already canonical tuple.
-        canon = JordanSpec(items).blocks
-        position = {block: k for k, block in enumerate(canon)}
+        """Each spec once, in the order of a depth-first recursion over the
+        items (eigenvalue, size) in pool order, sizes ascending, each item at
+        or after the last one picked; the walk keeps its own stack of picks."""
+        m = self.max_n
+        items = [(eig, size) for eig in self.pool for size in range(1, m + 1)]
+        # A spec's blocks are its picks in canonical order: keys holds the
+        # canonical positions of the picks, sorted, and chosen the picks in
+        # the same order, so every spec is built from a canonical tuple.
+        position = {block: k for k, block in enumerate(JordanSpec(items).blocks)}
         order = [position[item] for item in items]
-        sizes = [size for _, size in items]
         build = JordanSpec._from_canonical
-
-        def rec(start: int, budget: int, acc: list[int]) -> Iterator[JordanSpec]:
-            for idx in range(start, len(items)):
-                size = sizes[idx]
-                if size <= budget:
-                    at = bisect.bisect(acc, order[idx])
-                    acc.insert(at, order[idx])
-                    yield build(tuple(map(canon.__getitem__, acc)))
-                    yield from rec(idx, budget - size, acc)
-                    del acc[at]
-
-        yield from rec(0, self.max_n, [])
+        keys, chosen, stack = [], [], []  # stack: (item, budget, place in keys)
+        idx, budget = 0, m
+        while idx < len(items) or stack:
+            if idx == len(items):
+                idx, budget, at = stack.pop()
+                del keys[at], chosen[at]
+                idx += 1
+            elif (size := idx % m + 1) > budget:
+                idx += m - size + 1  # larger sizes fit no better: next eigenvalue
+            else:
+                at = bisect.bisect(keys, order[idx])
+                keys.insert(at, order[idx])
+                chosen.insert(at, items[idx])
+                yield build(tuple(chosen))
+                stack.append((idx, budget, at))
+                budget -= size
 
 
 def iter_involutive_reversers(
@@ -131,10 +136,8 @@ def iter_involutive_reversers(
 ) -> Iterator[ExactMatrix]:
     """Every blockwise involutive reverser the harness knows how to build:
     all +-1 sign patterns on singleton blocks, and every pair scaled by
-    (u, 1/u) for the units u in 1, -1, i, -i.
-
-    Each R(lam, d) and its unit multiples are built once per call; the loop
-    only picks one choice per singleton and per pair and places them."""
+    (u, 1/u) for the units u in 1, -1, i, -i, each R(lam, d) and unit
+    multiple built once per call."""
     return reversal._involutive_reversers(spec, report, reversal._Reversers())
 
 
@@ -155,43 +158,35 @@ def classification_sweep(gen: SpecGenerator) -> dict:
 
     Only ``gen.specs()`` is read, so any object with that method can feed
     the sweep, and every spec it yields is counted.  Each spec is classified
-    once, and its witness or reversers are built from that report.  Each
-    R(lam, d) and unit multiple is built once per call, in one table that
-    every witness and reverser of the sweep is assembled from."""
-    summary = _new_summary("classification_sweep")
-    summary.update(
-        not_reversible=0,
-        strongly_reversible=0,
-        reversible_only=0,
-        witnesses_verified=0,
-        involutive_reversers_checked=0,
-    )
+    once, and its witness or reversers are assembled from one table of each
+    R(lam, d) and unit multiple, built once per call."""
+    cases = not_reversible = strong = only = witnesses = checked = 0
+    failures: list[dict] = []
     reversers = reversal._Reversers()
 
     def fail(problem: str, **extra) -> None:  # a failure of the current spec
-        _fail(summary, spec=spec.to_json_dict(), problem=problem, **extra)
+        failures.append(dict(spec=spec.to_json_dict(), problem=problem, **extra))
 
     for spec in gen.specs():
-        summary["cases"] += 1
+        cases += 1
         try:
             report = reversal.classify(spec)
             if not report.reversible:
-                summary["not_reversible"] += 1
-                continue
-            if report.strongly_reversible:
-                summary["strongly_reversible"] += 1
+                not_reversible += 1
+            elif report.strongly_reversible:
+                strong += 1
                 # raises unless the witness passes check_witness
                 reversal._check_involutive(spec, report, reversers)
-                summary["witnesses_verified"] += 1
+                witnesses += 1
             else:
-                summary["reversible_only"] += 1
+                only += 1
                 if report.odd_block_present or report.parity_even:
                     got = "free" if report.odd_block_present else "forced +1"
                     fail(f"expected Forced(-1), got {got}")
                     continue
                 a = jordan_matrix(spec)
                 for g in reversal._involutive_reversers(spec, report, reversers):
-                    summary["involutive_reversers_checked"] += 1
+                    checked += 1
                     vr = check_witness(a, g)
                     if not (vr.reverses and vr.involution):
                         fail("harness reverser failed basic checks", report=vr.to_json_dict())
@@ -201,7 +196,11 @@ def classification_sweep(gen: SpecGenerator) -> dict:
                         break
         except Exception as exc:  # a crash is a failure, not an abort
             fail(repr(exc))
-    return summary
+    return {
+        "name": "classification_sweep", "cases": cases, "failures": failures,
+        "not_reversible": not_reversible, "strongly_reversible": strong, "reversible_only": only,
+        "witnesses_verified": witnesses, "involutive_reversers_checked": checked,
+    }
 
 
 def _partition_series(n: int, step: int) -> list[int]:
@@ -234,11 +233,10 @@ def class_counts(max_n: int, pool: Sequence) -> dict[str, int]:
     and ``pool`` are refused as SpecGenerator refuses them.
     """
     n, pool = _checked_max_n_and_pool(max_n, pool)
-    units = [v for v in pool if v == ONE or v == MINUS_ONE]
     others = [v for v in pool if v != ONE and v != MINUS_ONE]
     if any(v.inverse() not in others for v in others):
         raise ValueError("pool must be closed under inversion")
-    s, t = len(units), len(others) // 2
+    s, t = len(pool) - len(others), len(others) // 2
     plain = _partition_series(n, 1)
     doubled = _partition_series(n, 2)
     total = sum(_series_product(n, [plain] * len(pool))[1:])

@@ -139,6 +139,22 @@ class TestJordanSpec:
         spec = JordanSpec([(G(0, 1), 2), (G(0, -1), 2), (G(1), 1)])
         assert JordanSpec.from_json_dict(spec.to_json_dict()) == spec
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ([], "the spec must be a JSON object"),
+            ({}, 'missing key "blocks" in the spec'),
+            ({"blocks": [], "note": 1}, 'unknown key "note" in the spec'),
+            ({"blocks": {}}, "blocks must be a JSON array"),
+            ({"blocks": [{"eigenvalue": "1", "size": 1}, ["1", 1]]}, "blocks\\[1\\] must be a JSON object"),
+            ({"blocks": [{"eigenvalue": "1", "size": 2, "extra": 1}]}, 'unknown key "extra" in blocks\\[0\\]'),
+            ({"blocks": [{"size": 2}]}, 'missing key "eigenvalue" in blocks\\[0\\]'),
+        ],
+    )
+    def test_json_reader_refuses_other_shapes_and_keys(self, data, message):
+        with pytest.raises(ValueError, match=message):
+            JordanSpec.from_json_dict(data)
+
 
 class TestJordanMatrix:
     def test_three_identical_blocks(self):
@@ -162,6 +178,21 @@ class TestJordanMatrix:
     def test_structure_442(self):
         spec = JordanSpec([(G(1), 4), (G(1), 4), (G(1), 2)])
         assert jordan_matrix(spec) == JORDAN_442
+
+    @given(st.lists(st.tuples(EIGENVALUES, st.integers(1, 3)), min_size=1, max_size=5))
+    def test_fields_equal_the_entrywise_constructor(self, blocks):
+        # built without normalizing, over the lcm of the eigenvalue denominators
+        spec = JordanSpec(blocks)
+        grid = [[ZERO] * spec.n for _ in range(spec.n)]
+        k = 0
+        for eig, size in spec.blocks:
+            for i in range(k, k + size):
+                grid[i][i] = eig
+                if i + 1 < k + size:
+                    grid[i][i + 1] = ONE
+            k += size
+        m, expected = jordan_matrix(spec), ExactMatrix(grid)
+        assert (m._re, m._im, m._d) == (expected._re, expected._im, expected._d)
 
     @given(st.lists(st.tuples(EIGENVALUES, st.integers(1, 3)), min_size=1, max_size=5))
     def test_equals_direct_sum_of_blocks(self, blocks):

@@ -307,6 +307,8 @@ class TestMalformedSpec:
             pytest.param({"eigenvalue": 2, "size": 2}, id="numeric-eigenvalue"),
             pytest.param({"eigenvalue": "1", "size": 2.5}, id="fractional-size"),
             pytest.param({"eigenvalue": "1", "size": True}, id="boolean-size"),
+            pytest.param({"eigenvalue": "1", "size": 2, "extra": 1}, id="unknown-key"),
+            pytest.param(["1", 2], id="array-block"),
         ],
     )
     def test_rejected_with_exit_3(self, tmp_path, capsys, block):
@@ -351,6 +353,8 @@ class TestMalformedMatrix:
             pytest.param({"rows": 1, "cols": 1, "entries": [[1]]}, id="numeric-entry"),
             pytest.param({"rows": True, "cols": 1, "entries": [["1"]]}, id="boolean-rows"),
             pytest.param({"rows": 1, "cols": 2, "entries": ["12"]}, id="string-row"),
+            pytest.param({"rows": 1, "cols": 1, "entries": [["1"]], "note": "x"}, id="unknown-key"),
+            pytest.param([["1"]], id="array"),
         ],
     )
     def test_rejected_with_exit_3(self, tmp_path, capsys, matrix):

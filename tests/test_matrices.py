@@ -296,6 +296,18 @@ class TestJson:
         with pytest.raises(ValueError):
             ExactMatrix.from_json_dict({"rows": 2, "cols": 1, "entries": [["1"]]})
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ([["1"]], "the matrix must be a JSON object"),
+            ({"rows": 1, "cols": 1, "entries": [["1"]], "note": "x"}, 'unknown key "note" in the matrix'),
+            ({"rows": 1, "entries": [["1"]]}, 'missing key "cols" in the matrix'),
+        ],
+    )
+    def test_other_shapes_and_keys_rejected(self, data, message):
+        with pytest.raises(ValueError, match=message):
+            ExactMatrix.from_json_dict(data)
+
     def test_parses_each_distinct_text_once(self, monkeypatch):
         calls = []
 
@@ -609,3 +621,13 @@ class TestIntegerLayer:
         assert one.det() == one[0, 0]
         assert one.inverse()[0, 0] == one[0, 0].inverse()
         assert (one * one.inverse()).is_identity()
+
+
+class TestJsonWriter:
+    @settings(max_examples=200, deadline=None)
+    @given(entries=grids())
+    @example(entries=[[G(3), ZERO, G(-7)], [ZERO, G(0, 1), ZERO], [ZERO, ZERO, ZERO]])
+    def test_entry_text_is_str_of_each_entry(self, entries):
+        # the writer formats only nonzero entries; the reference formats all
+        m = ExactMatrix(entries)
+        assert m.to_json_dict()["entries"] == [[str(v) for v in row] for row in m.entries]

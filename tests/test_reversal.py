@@ -318,6 +318,17 @@ class TestClassify:
         assert report == reference_classify(spec)
         assert hash(report) == hash(reference_classify(spec))
 
+    @given(PAIRING_BLOCKS, st.randoms(use_true_random=False))
+    def test_same_report_on_shared_and_separate_equal_eigenvalues(self, blocks, rnd):
+        # the pool values are shared objects with kept inverse keys; the
+        # copies are fresh, some with their key read before classify
+        rnd.shuffle(blocks)
+        copies = [(G(eig.re, eig.im), size) for eig, size in blocks]
+        for eig, _ in copies:
+            if rnd.random() < 0.5:
+                eig.inverse_key
+        assert classify(JordanSpec(copies)) == classify(JordanSpec(blocks))
+
     def test_reports_are_frozen(self):
         report = classify(spec_of((1, 2), (2, 1), (HALF, 1)))
         for name in ("parity_value", "pairs"):

@@ -345,3 +345,28 @@ class TestDifferential:
     def test_constructor_takes_only_exact_parts(self, bad):
         with pytest.raises(TypeError):
             G(*bad)
+
+
+class TestInverseKey:
+    @given(x=pairs, read_first=st.booleans())
+    def test_kept_key_is_the_inverse_triple_and_invisible(self, x, read_first):
+        z, twin = G(*x), G(*x)
+        if read_first and z:
+            twin.inverse_key
+        if not z:
+            with pytest.raises(ZeroDivisionError):
+                z.inverse_key
+            return
+        seen = (repr(z), hash(z), pickle.dumps(z))
+        key = z.inverse_key
+        assert key == z.inverse().triple
+        assert z.inverse_key is key  # kept, not worked out again
+        assert (repr(z), hash(z), pickle.dumps(z)) == seen
+        assert z == twin and hash(z) == hash(twin) and repr(z) == repr(twin)
+        back = pickle.loads(pickle.dumps(z))
+        assert back == z and back.inverse_key == key
+        with pytest.raises(AttributeError):
+            z._inverse = key
+        with pytest.raises(AttributeError):
+            del z._inverse
+        assert z.inverse_key is key

@@ -1,6 +1,7 @@
 """The helpers each concept is built from exactly once: scalar coercion,
 size checking, block offsets, block placement and block inflation."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -85,6 +86,40 @@ class TestFromBlocks:
             ExactMatrix.from_blocks(2, [(2, 0, ExactMatrix([[1, 2]]))])
         with pytest.raises(ValueError):
             ExactMatrix.from_blocks(2, [(0, 1, ExactMatrix([[1, 2]]))])
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_fields_equal_the_entrywise_constructor(self, seed):
+        # Blocks over denominators 1, 2 and 3 (and so 6), some of them
+        # sharing rows, some zero; the result is built without normalizing
+        # and must have the fields of the same matrix built entry by entry.
+        rng = random.Random(seed)
+        sizes = [rng.randint(1, 3) for _ in range(3)]
+        starts, n = offsets(sizes), sum(sizes)
+        grid = [[ZERO] * n for _ in range(n)]
+        placements = []
+        for bi, bj in rng.sample([(i, j) for i in range(3) for j in range(3)], rng.randint(1, 5)):
+            den = rng.choice((1, 2, 3))
+            block = [
+                [G(Fraction(rng.randint(-4, 4), den), Fraction(rng.randint(-1, 1) * den, den))
+                 for _ in range(sizes[bj])]
+                for _ in range(sizes[bi])
+            ]
+            placements.append((starts[bi], starts[bj], ExactMatrix(block)))
+            for r, row in enumerate(block):
+                grid[starts[bi] + r][starts[bj]:starts[bj] + sizes[bj]] = row
+        m, expected = ExactMatrix.from_blocks(n, placements), ExactMatrix(grid)
+        assert (m.rows, m.cols, m._re, m._im, m._d) == (
+            expected.rows, expected.cols, expected._re, expected._im, expected._d
+        )
+
+    def test_block_over_a_nonzero_entry_is_refused(self):
+        one, half = ExactMatrix([[1, 0], [0, 1]]), ExactMatrix([[G(Fraction(1, 2))]])
+        assert ExactMatrix.from_blocks(2, [(0, 0, one), (0, 1, ExactMatrix([[0]]))]) == one
+        assert ExactMatrix.from_blocks(2, [(0, 1, half), (0, 0, half)]) == ExactMatrix(
+            [[G(Fraction(1, 2)), G(Fraction(1, 2))], [0, 0]]
+        )
+        with pytest.raises(ValueError, match="overlaps"):
+            ExactMatrix.from_blocks(2, [(0, 0, one), (1, 1, half)])
 
 
 class TestInflate:
