@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .canonical import JordanSpec, jordan_matrix, sample_centralizer, weyr_form
 from .matrices import (
@@ -50,7 +50,6 @@ __all__ = [
     "pair_reverser",
     "classify",
     "involution_det_sign",
-    "block_reversers",
     "assemble_block_reverser",
     "involutive_witness",
     "sl_reverser_witness",
@@ -319,27 +318,6 @@ class _Reversers(dict):
         return value
 
 
-def block_reversers(spec: JordanSpec) -> list[ExactMatrix]:
-    """R(lam, d) for every block (lam, d) of the spec, in block order; equal
-    blocks share one matrix, built once."""
-    reversers = _Reversers()
-    return [reversers[eig.triple, size, _ONE] for eig, size in spec.blocks]
-
-
-def _placements(spec: JordanSpec, report: StrongReversibilityReport) -> list[tuple[int, int]]:
-    """The (row, column) offset of each block's reverser under the
-    placement rule of assemble_block_reverser."""
-    partner = {idx: idx for idx in report.singletons}
-    for i, j in report.pairs:
-        partner[i], partner[j] = j, i
-    offs = offsets(size for _, size in spec.blocks)
-    return [(offs[idx], offs[partner[idx]]) for idx in range(len(spec.blocks))]
-
-
-def _assemble(n: int, placements: list[tuple[int, int]], blocks: Sequence[ExactMatrix]) -> ExactMatrix:
-    return ExactMatrix.from_blocks(n, [(r, c, block) for (r, c), block in zip(placements, blocks)])
-
-
 def assemble_block_reverser(
     spec: JordanSpec, report: StrongReversibilityReport, blocks: Sequence[ExactMatrix]
 ) -> ExactMatrix:
@@ -351,9 +329,16 @@ def assemble_block_reverser(
     otherwise, which classify makes (1/lam, d).  The result is an
     involution exactly when every singleton scale squares to 1 and the two
     scales of every pair multiply to 1.  The blocks are copied, so callers
-    may share them between results.
+    may share them between results.  This is the one place that puts a
+    blockwise reverser's blocks.
     """
-    return _assemble(spec.n, _placements(spec, report), blocks)
+    partner = list(range(len(blocks)))
+    for i, j in report.pairs:
+        partner[i], partner[j] = j, i
+    offs = offsets(size for _, size in spec.blocks)
+    return ExactMatrix.from_blocks(
+        spec.n, [(offs[idx], offs[partner[idx]], block) for idx, block in enumerate(blocks)]
+    )
 
 
 # (u, 1/u) for the units u in 1, -1, i, -i, as triples.
@@ -365,8 +350,8 @@ def _involutive_reversers(
 ) -> Iterator[ExactMatrix]:
     """Every blockwise involutive reverser of a reversible spec: each +-1
     sign on each singleton block and each pair scaled by (u, 1/u) for the
-    units u, in that order.  Every block comes from reversers, and the
-    placements are worked out once; each result is its own matrix."""
+    units u, in that order.  Every block comes from reversers, and each
+    result is its own matrix."""
     keys = [(eig.triple, size) for eig, size in spec.blocks]
     # One list of choices per singleton and per pair; a choice is the
     # (block index, block) entries it sets.
@@ -377,26 +362,25 @@ def _involutive_reversers(
         [((i, reversers[(*keys[i], u)]), (j, reversers[(*keys[j], v)])) for u, v in _UNIT_PAIRS]
         for i, j in report.pairs
     ]
-    placements = _placements(spec, report)
     blocks = [reversers[(*key, _ONE)] for key in keys]
     for combo in itertools.product(*options):
         for choice in combo:
             for idx, block in choice:
                 blocks[idx] = block
-        yield _assemble(spec.n, placements, blocks)
+        yield assemble_block_reverser(spec, report, blocks)
 
 
 def _checked(
     spec: JordanSpec, report: StrongReversibilityReport, scales: Sequence[GaussianRational],
-    reversers: _Reversers, require_involution: bool, transcript: Callable[[], list[str]],
+    reversers: _Reversers, require_involution: bool,
 ) -> tuple[ExactMatrix, ExactMatrix, VerificationReport]:
     """(a, g, check) for the blockwise reverser g with block idx
     scales[idx] * R(lam, d), taken from reversers, checked once against
     a = jordan_matrix(spec).  A g that fails the check raises instead of
-    being returned, with the construction's lines from transcript()."""
-    g = _assemble(
-        spec.n,
-        _placements(spec, report),
+    being returned, naming the spec."""
+    g = assemble_block_reverser(
+        spec,
+        report,
         [reversers[eig.triple, size, scale.triple] for (eig, size), scale in zip(spec.blocks, scales)],
     )
     a = jordan_matrix(spec)
@@ -407,21 +391,9 @@ def _checked(
         raise RuntimeError(
             "internal error: constructed witness failed verification "
             f"(reverses={check.reverses}, involution={check.involution}, "
-            f"det={check.determinant}); transcript: " + "; ".join(transcript())
+            f"det={check.determinant}) for {spec!r}"
         )
     return a, g, check
-
-
-def _witness(
-    spec: JordanSpec, report: StrongReversibilityReport, scales: Sequence[GaussianRational],
-    transcript: list[str], require_involution: bool,
-) -> WitnessBundle:
-    """The bundle of the checked blockwise reverser with the given scales,
-    each R(lam, d) and multiple built once for this call."""
-    a, g, check = _checked(
-        spec, report, scales, _Reversers(), require_involution, lambda: transcript
-    )
-    return WitnessBundle(a, g, check, tuple(transcript))
 
 
 def involutive_witness(spec: JordanSpec) -> WitnessBundle:
@@ -462,12 +434,16 @@ def _involutive_scales(
     return scales, first_odd
 
 
-def _involutive_transcript(
-    spec: JordanSpec, report: StrongReversibilityReport,
-    scales: list[GaussianRational], flip: int | None,
-) -> list[str]:
-    """The lines that explain _involutive_scales: each block's scale before
-    the flip and its determinant sign, then the flip."""
+def _involutive_witness(spec: JordanSpec, report: StrongReversibilityReport) -> WitnessBundle:
+    """involutive_witness given report = classify(spec).  Once g passes its
+    check, the transcript explains _involutive_scales: each block's scale
+    before the flip and its determinant sign, then the flip."""
+    if not report.reversible:
+        raise NotReversibleError(f"spec is not reversible: {spec!r}")
+    if not report.strongly_reversible:
+        raise NotStronglyReversibleError()
+    scales, flip = _involutive_scales(spec, report)
+    a, g, check = _checked(spec, report, scales, _Reversers(), True)
     transcript = []
     for idx in report.singletons:
         eig, size = spec.blocks[idx]
@@ -485,31 +461,7 @@ def _involutive_transcript(
         )
     if flip is not None:
         transcript.append(f"block {flip}: flipped scale to absorb forced sign -1")
-    return transcript
-
-
-def _involutive_witness(spec: JordanSpec, report: StrongReversibilityReport) -> WitnessBundle:
-    """involutive_witness given report = classify(spec)."""
-    if not report.reversible:
-        raise NotReversibleError(f"spec is not reversible: {spec!r}")
-    if not report.strongly_reversible:
-        raise NotStronglyReversibleError()
-    scales, flip = _involutive_scales(spec, report)
-    transcript = _involutive_transcript(spec, report, scales, flip)
-    return _witness(spec, report, scales, transcript, require_involution=True)
-
-
-def _check_involutive(
-    spec: JordanSpec, report: StrongReversibilityReport, reversers: _Reversers
-) -> None:
-    """The check of _involutive_witness(spec, report) for a strongly
-    reversible report, on the same g built from reversers; the transcript
-    is rendered only for the error a failed check raises."""
-    scales, flip = _involutive_scales(spec, report)
-    _checked(
-        spec, report, scales, reversers, True,
-        lambda: _involutive_transcript(spec, report, scales, flip),
-    )
+    return WitnessBundle(a, g, check, tuple(transcript))
 
 
 def sl_reverser_witness(spec: JordanSpec) -> WitnessBundle:
@@ -530,21 +482,23 @@ def sl_reverser_witness(spec: JordanSpec) -> WitnessBundle:
             bundle,
             transcript=bundle.transcript + ("strongly reversible: involutive witness reused",),
         )
-    transcript: list[str] = []
-    scales = [ONE] * len(spec.blocks)
+    blocks = spec.blocks
+    scales = [ONE] * len(blocks)
     for idx in report.singletons:
-        eig, size = spec.blocks[idx]
-        if size % 4 == 2:
+        if blocks[idx][1] % 4 == 2:
             scales[idx] = -IMAGINARY
+    for i, j in report.pairs:
+        if blocks[i][1] % 2:
+            scales[j] = MINUS_ONE
+    a, g, check = _checked(spec, report, scales, _Reversers(), False)
+    transcript = []
+    for idx in report.singletons:
+        eig, size = blocks[idx]
         transcript.append(f"block {idx}: J({eig},{size}) scale {scales[idx]}, det +1")
     for i, j in report.pairs:
-        lam, size = spec.blocks[i]
-        if size % 2:
-            scales[j] = MINUS_ONE
-        transcript.append(
-            f"pair ({i},{j}): J({lam},{size}) scales ({scales[i]}, {scales[j]}), det +1"
-        )
-    return _witness(spec, report, scales, transcript, require_involution=False)
+        lam, size = blocks[i]
+        transcript.append(f"pair ({i},{j}): J({lam},{size}) scales ({scales[i]}, {scales[j]}), det +1")
+    return WitnessBundle(a, g, check, tuple(transcript))
 
 
 def sample_reverser(spec: JordanSpec, seed: int) -> ExactMatrix:

@@ -151,10 +151,9 @@ def _fail(summary: dict, **record) -> None:
 
 def classification_sweep(gen: SpecGenerator) -> dict:
     """For every generated spec: a strongly reversible verdict must come with
-    a verified involutive SL witness, and a reversible-only verdict must come
-    with a report that forces determinant -1 (no odd +-1 block, odd parity
-    value), which every harness-constructible involutive reverser obeys
-    exactly.
+    a verified involutive SL witness, and a reversible-only verdict must
+    match general_strong_verdict, which reads block counts alone, and every
+    harness-constructible involutive reverser must then have determinant -1.
 
     Only ``gen.specs()`` is read, so any object with that method can feed
     the sweep, and every spec it yields is counted.  Each spec is classified
@@ -175,14 +174,15 @@ def classification_sweep(gen: SpecGenerator) -> dict:
                 not_reversible += 1
             elif report.strongly_reversible:
                 strong += 1
+                scales, _ = reversal._involutive_scales(spec, report)
                 # raises unless the witness passes check_witness
-                reversal._check_involutive(spec, report, reversers)
+                reversal._checked(spec, report, scales, reversers, True)
                 witnesses += 1
             else:
                 only += 1
-                if report.odd_block_present or report.parity_even:
-                    got = "free" if report.odd_block_present else "forced +1"
-                    fail(f"expected Forced(-1), got {got}")
+                verdict = general_strong_verdict(spec)
+                if verdict is not False:
+                    fail(f"reversible-only verdict, general verdict {verdict}")
                     continue
                 a = jordan_matrix(spec)
                 for g in reversal._involutive_reversers(spec, report, reversers):

@@ -793,24 +793,29 @@ class TestClassificationSweep:
         assert summary["failures"]
 
     @pytest.mark.parametrize(
-        "fields, got",
-        [({"odd_block_present": True}, "free"), ({"parity_even": True}, "forced +1")],
+        "spec, verdict",
+        [(JordanSpec([(ONE, 1)]), True), (JordanSpec([(G(2), 1)]), None)],
+        ids=["strongly-reversible", "not-reversible"],
     )
-    def test_records_a_reversible_only_report_without_forced_minus(self, monkeypatch, fields, got):
-        # a reversible-only verdict whose sign fields do not force -1
+    def test_records_a_reversible_only_report_without_forced_minus(self, monkeypatch, spec, verdict):
+        # a reversible-only verdict on a spec that general_strong_verdict,
+        # reading no report field, finds strongly reversible or not reversible
         real = reversal_module.classify
         monkeypatch.setattr(
-            reversal_module, "classify", lambda spec: dataclasses.replace(real(spec), **fields)
+            reversal_module,
+            "classify",
+            lambda s: dataclasses.replace(real(s), reversible=True, strongly_reversible=False),
         )
 
         class Feed:
             def specs(self):
-                return iter([JordanSpec([(ONE, 2)])])
+                return iter([spec])
 
         summary = classification_sweep(Feed())
+        assert summary["reversible_only"] == 1
         assert summary["involutive_reversers_checked"] == 0
         assert summary["failures"] == [
-            {"spec": JordanSpec([(ONE, 2)]).to_json_dict(), "problem": f"expected Forced(-1), got {got}"}
+            {"spec": spec.to_json_dict(), "problem": f"reversible-only verdict, general verdict {verdict}"}
         ]
 
     # Three reversible-only specs among two strongly reversible ones and one
@@ -1172,6 +1177,42 @@ def test_sweep_builds_each_block_reverser_once(monkeypatch):
     assert built == Counter(dict.fromkeys(blocks, 1))
 
 
+def _record_assemblies(monkeypatch) -> list:
+    """The spec of every later assemble_block_reverser call, in order."""
+    calls = []
+    real = reversal_module.assemble_block_reverser
+
+    def recording(spec, report, blocks):
+        calls.append(spec)
+        return real(spec, report, blocks)
+
+    monkeypatch.setattr(reversal_module, "assemble_block_reverser", recording)
+    return calls
+
+
+def test_sweep_assembles_every_reverser_through_the_one_assembler(monkeypatch):
+    calls = _record_assemblies(monkeypatch)
+    summary = classification_sweep(SpecGenerator(7, DEFAULT_POOL))
+    assert summary["failures"] == []
+    checked = summary["witnesses_verified"] + summary["involutive_reversers_checked"]
+    assert len(calls) == checked == 472 + 744
+
+
+@pytest.mark.parametrize(
+    "construct, spec",
+    [
+        (involutive_witness, JordanSpec([(ONE, 3), (G(2), 2), (HALF, 2)])),
+        (sl_reverser_witness, JordanSpec([(ONE, 3), (G(2), 2), (HALF, 2)])),
+        (sl_reverser_witness, JordanSpec([(ONE, 2), (G(2), 1), (HALF, 1)])),
+    ],
+    ids=["involutive", "sl-strong", "sl-reversible-only"],
+)
+def test_witness_constructors_assemble_once(monkeypatch, construct, spec):
+    calls = _record_assemblies(monkeypatch)
+    construct(spec)
+    assert calls == [spec]
+
+
 @pytest.mark.parametrize("pool", [DEFAULT_POOL, MIXED_POOL], ids=["default", "mixed"])
 def test_sweep_checks_the_involutive_witness(monkeypatch, pool):
     """The g the sweep checks for each strongly reversible spec, from its
@@ -1196,7 +1237,8 @@ def test_sweep_checks_the_involutive_witness(monkeypatch, pool):
 def test_rejected_witness_raises_and_the_sweep_records_it(monkeypatch):
     """A constructed witness that check_witness rejects never reaches a
     caller: both constructors raise, and the sweep records the raise as a
-    failure of its spec instead of counting a verified witness."""
+    failure of its spec instead of counting a verified witness.  The message
+    names the spec."""
     real = reversal_module.check_witness
 
     def rejecting(a, g):
@@ -1210,18 +1252,19 @@ def test_rejected_witness_raises_and_the_sweep_records_it(monkeypatch):
         (sl_reverser_witness, strong),
         (sl_reverser_witness, reversible_only),
     ):
-        with pytest.raises(RuntimeError, match=message):
+        with pytest.raises(RuntimeError, match=message) as raised:
             construct(spec)
+        assert str(raised.value).endswith(f" for {spec!r}")
 
     gen = SpecGenerator(4, (ONE, MINUS_ONE, G(2), HALF))
-    expected = [s.to_json_dict() for s in gen.specs() if classify(s).strongly_reversible]
+    strong_specs = [s for s in gen.specs() if classify(s).strongly_reversible]
     summary = classification_sweep(gen)
-    assert summary["strongly_reversible"] == len(expected) > 0
+    assert summary["strongly_reversible"] == len(strong_specs) > 0
     assert summary["witnesses_verified"] == 0
-    assert [f["spec"] for f in summary["failures"]] == expected
-    assert all(
-        f["problem"].startswith(f"RuntimeError('{message}") for f in summary["failures"]
-    )
+    assert [f["spec"] for f in summary["failures"]] == [s.to_json_dict() for s in strong_specs]
+    for failure, spec in zip(summary["failures"], strong_specs):
+        assert failure["problem"].startswith(f"RuntimeError('{message}")
+        assert repr(spec) in failure["problem"]
 
 
 def _bundle_record(construct, spec) -> list:
