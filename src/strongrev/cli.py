@@ -26,7 +26,7 @@ from .matrices import (
     format_grid,
 )
 from .partitions import Partition
-from .scalars import as_int, json_fields
+from .scalars import MINUS_ONE, ZERO, as_int, json_fields, parse
 
 __all__ = ["main", "entrypoint"]
 
@@ -139,8 +139,13 @@ def _write(value, newline: str, out: list) -> None:
             sep = "," + inner
         out.append(newline + "}")
         return
-    try:  # a list of text in one join; _quote raises TypeError on anything else
-        out.append("[" + inner + ("," + inner).join(map(_quote, value)) + newline + "]")
+    try:  # a list of text in one join; join and _quote raise TypeError on anything else
+        text = "".join(value)
+        if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+            # no entry needs escaping, so each is quoted as it stands
+            out.append("[" + inner + '"' + ('",' + inner + '"').join(value) + '"' + newline + "]")
+        else:
+            out.append("[" + inner + ("," + inner).join(map(_quote, value)) + newline + "]")
     except TypeError:
         sep = "[" + inner
         for item in value:
@@ -301,6 +306,33 @@ def classify_text(p: dict) -> str:
     return "\n".join(lines)
 
 
+def _squares_to_minus_identity(p: dict) -> bool:
+    """g^2 = -I for the a and g of a witness payload, read from their text.
+
+    If g reverses a and a is upper bidiagonal, g^2 commutes with a (the
+    lemma of check_witness).  Within a run p..q of a, e_{j-1} is
+    (a - a_jj) e_j / a_{j-1,j}, so a column q of g^2 equal to -e_q makes
+    every column of the run equal to -e_j.  Only the run-end columns of g^2
+    are formed then, each from column q of g and the columns of g that its
+    nonzeros reach, and only those columns of g are parsed.  Otherwise all
+    of g is parsed and squared."""
+    starts = None
+    if p["verification"]["reverses"]:
+        starts = _run_starts(ExactMatrix.from_json_dict(p["a"]))
+    if starts is None:
+        return _square_difference(ExactMatrix.from_json_dict(p["g"]), -1) is None
+    entries = p["g"]["entries"]
+    for q in [s - 1 for s in starts[1:]] + [len(entries) - 1]:
+        square = [ZERO] * len(entries)  # column q of g^2
+        for k, row in enumerate(entries):
+            x = parse(row[q])
+            if x:
+                square = [t + parse(r[k]) * x for t, r in zip(square, entries)]
+        if any(t != (MINUS_ONE if i == q else ZERO) for i, t in enumerate(square)):
+            return False
+    return True
+
+
 def witness_text(p: dict) -> str:
     report = p["verification"]
     lines = [
@@ -311,11 +343,8 @@ def witness_text(p: dict) -> str:
         format_grid(p["g"]["entries"]),
         _report_text(report),
     ]
-    if not report["involution"]:
-        g = ExactMatrix.from_json_dict(p["g"])
-        starts = _run_starts(ExactMatrix.from_json_dict(p["a"])) if report["reverses"] else None
-        if _square_difference(g, -1, starts) is None:
-            lines.append("note: g squares to -I")
+    if not report["involution"] and _squares_to_minus_identity(p):
+        lines.append("note: g squares to -I")
     lines += [f"  {line}" for line in p["transcript"]]
     return "\n".join(lines)
 

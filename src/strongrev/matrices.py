@@ -136,18 +136,36 @@ def _eliminate(re: list[list[int]], im: list[list[int]], den: list[int], n: int)
     return sign
 
 
-def _product(
-    a_re: list[list[int]], a_im: list[list[int]], b_re: list[list[int]], b_im: list[list[int]]
-) -> tuple[list[list[int]], list[list[int]]]:
-    """Real and imaginary rows of the product of the integer matrices
-    a_re + a_im*i and b_re + b_im*i, given as rows of equal length."""
-    width = len(b_re[0])
-    cols, inner = range(width), range(len(b_re))
-    # The columns of the nonzeros in each row of b, found once; a zero
-    # imaginary part, in a row of a or in all of b, skips half the work.
-    b_re = [(list(itertools.compress(cols, row)), row) for row in b_re]
-    imag = any(map(any, b_im))
-    b_im = [(list(itertools.compress(cols, row)), row) for row in b_im] if imag else None
+def _columns(re: list[list[int]], im: list[list[int]]):
+    """The right factor re + im*i of :func:`_product`: each row with the
+    columns of its nonzeros, and None for imaginary rows that are all zero."""
+    cols = range(len(re[0]))
+    re = [(list(itertools.compress(cols, row)), row) for row in re]
+    if not any(map(any, im)):
+        return re, None
+    return re, [(list(itertools.compress(cols, row)), row) for row in im]
+
+
+def _bidiagonal_columns(a: "ExactMatrix"):
+    """:func:`_columns` of the numerators of an upper bidiagonal a, read
+    from its diagonal and superdiagonal."""
+    last = a.cols - 1
+
+    def pairs(rows):
+        return [
+            (((i, i + 1) if r[i] else (i + 1,)) if i < last and r[i + 1] else (i,) * bool(r[i]), r)
+            for i, r in enumerate(rows)
+        ]
+
+    return pairs(a._re), pairs(a._im) if any(map(any, a._im)) else None
+
+
+def _product(a_re: list[list[int]], a_im: list[list[int]], b) -> tuple[list, list]:
+    """Real and imaginary rows of the product of the integer matrix a_re +
+    a_im*i and b, given by its :func:`_columns`; a zero imaginary part, in a
+    row of a or in all of b, skips half the work."""
+    b_re, b_im = b
+    width, inner = len(b_re[0][1]), range(len(b_re))
     out_re, out_im = [], []
     for arow, irow in zip(a_re, a_im):
         cr, ci = [0] * width, [0] * width
@@ -156,7 +174,7 @@ def _product(
             js, brow = b_re[k]
             for j in js:
                 cr[j] += x * brow[j]
-            if imag:
+            if b_im:
                 js, brow = b_im[k]
                 for j in js:
                     ci[j] += x * brow[j]
@@ -166,7 +184,7 @@ def _product(
                 js, brow = b_re[k]
                 for j in js:
                     ci[j] += y * brow[j]
-                if imag:
+                if b_im:
                     js, brow = b_im[k]
                     for j in js:
                         cr[j] -= y * brow[j]
@@ -359,7 +377,7 @@ class ExactMatrix:
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
         return ExactMatrix.from_numerators(
-            *_product(self._re, self._im, other._re, other._im), self._d * other._d
+            *_product(self._re, self._im, _columns(other._re, other._im)), self._d * other._d
         )
 
     def _numerator_rows(self, extra: int = 0) -> tuple[list[list[int]], list[list[int]]]:
@@ -514,18 +532,19 @@ def _run_starts(a: ExactMatrix) -> list[int] | None:
 
 
 def _square_difference(
-    g: ExactMatrix, sign: int = 1, starts: list[int] | None = None
+    g: ExactMatrix, sign: int = 1, starts: list[int] | None = None, columns=None
 ) -> tuple[int, int] | None:
     """first_difference of g * g and sign * I (sign 1 or -1), read from the
-    rows of g * g at the indices starts, or at every index if starts is None.
+    rows of g * g at the indices starts, or at every index if starts is None;
+    columns, if given, are the :func:`_columns` of g's numerators.
 
     Pass starts = _run_starts(a) only if a is invertible and a g a = g;
     check_witness shows why the rows at the run starts then decide
     g^2 = sign * I, and why the first of them that differs holds the first
     difference.
     """
-    rows = range(g.rows) if starts is None else starts
-    out_re, out_im = _product([g._re[p] for p in rows], [g._im[p] for p in rows], g._re, g._im)
+    rows, columns = range(g.rows) if starts is None else starts, columns or _columns(g._re, g._im)
+    out_re, out_im = _product([g._re[p] for p in rows], [g._im[p] for p in rows], columns)
     # Over the numerators G = d g, g^2 = sign * I reads G^2 = sign * d^2 * I.
     s = sign * g._d * g._d
     for p, row_re, row_im in zip(rows, out_re, out_im):
@@ -609,36 +628,25 @@ class PermutationMap:
         return ExactMatrix.from_numerators(re, [[0] * n for _ in range(n)], 1)
 
     def sign(self) -> int:
-        """Parity of the permutation via cycle decomposition."""
-        seen = [False] * len(self.images)
-        sign = 1
-        for start in range(len(self.images)):
-            if seen[start]:
-                continue
-            length = 0
-            k = start
-            while not seen[k]:
-                seen[k] = True
+        """Parity of the permutation: n minus its number of cycles."""
+        seen, cycles = set(), 0
+        for k in range(len(self.images)):
+            cycles += k not in seen
+            while k not in seen:
+                seen.add(k)
                 k = self.images[k] - 1
-                length += 1
-            if length % 2 == 0:
-                sign = -sign
-        return sign
+        return -1 if (len(self.images) - cycles) % 2 else 1
 
     def conjugate(self, a: ExactMatrix) -> ExactMatrix:
         """P a P^{-1} for the permutation matrix P with P e_k = e_{images[k]}."""
         n = len(self.images)
         if a.rows != n or a.cols != n:
             raise ValueError("matrix size does not match the permutation")
-        img0 = [v - 1 for v in self.images]
+        # entry (r, c) of P a P^{-1} is entry (inv[r], inv[c]) of a
+        inv = [k - 1 for k in self.inverse().images]
 
         def moved(rows: list[list[int]]) -> list[list[int]]:
-            out = [[0] * n for _ in range(n)]
-            for i, row in zip(img0, rows):
-                target = out[i]
-                for j, v in zip(img0, row):
-                    target[j] = v
-            return out
+            return [[row[k] for k in inv] for row in map(rows.__getitem__, inv)]
 
         return ExactMatrix.from_numerators(moved(a._re), moved(a._im), a._d)
 
@@ -674,17 +682,15 @@ class VerificationReport:
         }
 
 
-def _reverses(a: ExactMatrix, g: ExactMatrix) -> bool:
+def _reverses(a: ExactMatrix, g: ExactMatrix, a_columns, g_columns) -> bool:
     """a g a == g, decided on the numerators A = d_a a and G = d_g g as
-    A (G A) == d_a^2 G, with no matrix built and nothing normalized."""
-    re, im = _product(a._re, a._im, *_product(g._re, g._im, a._re, a._im))
+    (A G) A == d_a^2 G, given the :func:`_columns` of A and G, with no
+    matrix built and nothing normalized."""
+    re, im = _product(*_product(a._re, a._im, g_columns), a_columns)
     s = a._d * a._d
     if s == 1:
         return re == g._re and im == g._im
-    return all(
-        x == [s * v for v in u] and y == [s * v for v in w]
-        for x, y, u, w in zip(re, im, g._re, g._im)
-    )
+    return all(x == [s * v for v in u] for x, u in zip(re + im, g._re + g._im))
 
 
 def _involution_det(g: ExactMatrix) -> GaussianRational:
@@ -703,10 +709,12 @@ def check_witness(a: ExactMatrix, g: ExactMatrix) -> VerificationReport:
     a must be invertible; an upper bidiagonal a is, exactly when its
     diagonal has no zero, and any other a is checked by its determinant.
     For invertible a and g the reversal identity is equivalent to
-    a g a == g, which is decided first, on the numerators, and inverts
-    nothing.  Only a failed reversal check with an invertible g inverts
-    both matrices, to report the first entry where g a g^{-1} and a^{-1}
-    differ.
+    a g a == g, decided first, on the numerators as (A G) A == d_a^2 G,
+    inverting nothing.  The nonzero columns of G's rows are found once, for
+    A G and for the rows of g^2; those of an upper bidiagonal A are read
+    from its two diagonals.  Only a failed reversal check with an invertible
+    g inverts both matrices, to report the first entry where g a g^{-1} and
+    a^{-1} differ.
 
     Once a g a = g holds, g^2 = I is decided on a few rows of g^2 when a is
     upper bidiagonal.  Lemma: a g a = g gives g a = a^{-1} g and
@@ -731,8 +739,11 @@ def check_witness(a: ExactMatrix, g: ExactMatrix) -> VerificationReport:
     starts = _run_starts(a)
     if starts is None and not a.det():
         raise SingularMatrixError("matrix is singular")
-    reverses = _reverses(a, g)
-    pos = _square_difference(g, 1, starts if reverses else None)
+    columns = _columns(g._re, g._im)
+    reverses = _reverses(
+        a, g, _columns(a._re, a._im) if starts is None else _bidiagonal_columns(a), columns
+    )
+    pos = _square_difference(g, 1, starts if reverses else None, columns)
     det = _involution_det(g) if pos is None else g.det()
     residuals: list[tuple[str, tuple[int, int] | None]] = []
     if not det:

@@ -224,13 +224,6 @@ class WitnessBundle:
     transcript: tuple[str, ...]
 
 
-def _frozen(cls, **fields):
-    """cls(**fields) for a frozen dataclass, without an object.__setattr__ per field."""
-    report = object.__new__(cls)
-    report.__dict__.update(fields)
-    return report
-
-
 def classify(spec: JordanSpec) -> StrongReversibilityReport:
     """Decide reversibility and strong reversibility of the spec in SL(n).
 
@@ -270,20 +263,24 @@ def classify(spec: JordanSpec) -> StrongReversibilityReport:
         raise RuntimeError("internal error: paired blocks cover an odd dimension")
     parity_value = singly_even + rest // 2
     parity_even = parity_value % 2 == 0
-    return _frozen(
-        StrongReversibilityReport,
-        reversible=not waiting,
-        strongly_reversible=not waiting and (odd > 0 or parity_even),
-        pairs=tuple(pairs),
-        singletons=tuple(singletons),
-        # each queue holds indices in spec order, so its first is its least
-        failure_witness=blocks[min(q[0] for q in waiting.values())] if waiting else None,
-        plus_sizes=tuple(plus),
-        minus_sizes=tuple(minus),
-        odd_block_present=odd > 0,
-        parity_value=parity_value,
-        parity_even=parity_even,
-    )
+    # one dict literal as the instance dict: no keyword dict to copy and no
+    # object.__setattr__ per field of the frozen dataclass
+    report = object.__new__(StrongReversibilityReport)
+    object.__setattr__(report, "__dict__", {
+        "reversible": not waiting,
+        "strongly_reversible": not waiting and (odd > 0 or parity_even),
+        "pairs": tuple(pairs),
+        "singletons": tuple(singletons),
+        # each queue holds indices in spec order and no index is in two
+        # queues, so the least queue starts with the least unmatched index
+        "failure_witness": blocks[min(waiting.values())[0]] if waiting else None,
+        "plus_sizes": tuple(plus),
+        "minus_sizes": tuple(minus),
+        "odd_block_present": odd > 0,
+        "parity_value": parity_value,
+        "parity_even": parity_even,
+    })
+    return report
 
 
 def involution_det_sign(spec: JordanSpec) -> set[int]:

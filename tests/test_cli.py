@@ -613,8 +613,13 @@ class TestJsonWriter:
             [Text("x"), Text('"')],
             ["é", "\U0001f600", "ünï"],
             ['"', "\\"],
+            ["1/2", "-i", '"'],
+            ["1", "\x7f", "2"],
         ],
-        ids=["last-not-text", "first-not-text", "nested", "str-subclass", "non-ascii", "escapes"],
+        ids=[
+            "last-not-text", "first-not-text", "nested", "str-subclass", "non-ascii", "escapes",
+            "plain-then-quote", "delete-character",
+        ],
     )
     def test_list_paths_write_what_json_dumps_writes(self, value):
         assert _json_text(value) == json.dumps(value, indent=2)

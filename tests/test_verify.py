@@ -427,14 +427,15 @@ class TestRunEndInvolutionCheck:
         assert report.reverses and not report.involution
 
     def test_involutive_witness_is_not_squared_densely(self, monkeypatch):
-        # the number of rows of each product of g with itself
+        # the number of rows of each product of g with itself: the left
+        # factor's rows and the right factor's _columns both start with row 0
         squares = []
         product = matrices_module._product
 
-        def counting(a_re, a_im, b_re, b_im):
-            if b_re is g._re:
+        def counting(a_re, a_im, b):
+            if a_re[0] is g._re[0] and b[0][0][1] is g._re[0]:
                 squares.append(len(a_re))
-            return product(a_re, a_im, b_re, b_im)
+            return product(a_re, a_im, b)
 
         bundle = involutive_witness(JordanSpec([(G(1), 5), (G(-1), 3), (G(2), 2), (HALF, 2)]))
         g = bundle.g
@@ -445,6 +446,26 @@ class TestRunEndInvolutionCheck:
         g = g.scale(2) + ExactMatrix.identity(12)
         assert not check_witness(bundle.a, g).reverses
         assert squares == [4, 12]
+
+    def test_rows_are_scanned_for_columns_once_per_check(self, monkeypatch):
+        # the nonzero columns of g's rows are found once and serve A G and
+        # the rows of g^2; those of a Jordan a are read from its diagonals
+        scanned = []
+        columns = matrices_module._columns
+
+        def counting(re, im):
+            scanned.append(len(re))
+            return columns(re, im)
+
+        bundle = involutive_witness(JordanSpec([(G(1), 5), (G(-1), 3), (G(2), 2), (HALF, 2)]))
+        sl_only = sl_reverser_witness(JordanSpec([(G(1), 6), (G(2), 2), (HALF, 2)]))
+        monkeypatch.setattr(matrices_module, "_columns", counting)
+        assert check_witness(bundle.a, bundle.g).all_good()
+        assert scanned == [12]
+        # a reverser with g^2 != I: its determinant is eliminated, not multiplied
+        report = check_witness(sl_only.a, sl_only.g)
+        assert report.reverses and not report.involution
+        assert scanned == [12, 10]
 
 
 def _sweep_reversers(max_n: int, pool):
@@ -550,6 +571,70 @@ class TestCheckWitnessMatchesReference:
         assert report.residuals == (("reverses", None), ("involution", (1, 1)))
 
 
+# Eigenvalues with a zero real part (i, -i, 3i/2 and its inverse -2i/3) and
+# with a zero imaginary part (1, -1, 2, 1/2).
+BIDIAGONAL_POOL = (ONE, MINUS_ONE, G(2), HALF, I, -I, G(0, Fraction(3, 2)), G(0, Fraction(-2, 3)))
+
+
+class TestCheckWitnessAgainstInverseOracle:
+    """check_witness on seeded upper bidiagonal a = D J D^-1, for a Jordan
+    matrix J and a complex diagonal D, must decide reversal as the inverse
+    identity g a g^-1 = a^-1 does and the involution as the dense square
+    does.  The nonzero columns of such an a are read from its two diagonals,
+    whose entries here may lack a real or an imaginary part, or be zero at a
+    run break."""
+
+    @staticmethod
+    def agrees(a, g, counts):
+        report = check_witness(a, g)
+        reverses = bool(g.det()) and g * a * g.inverse() == a.inverse()
+        assert report.reverses == reverses
+        assert report.involution == (dense_square_difference(g) is None)
+        counts[report.reverses, report.involution] += 1
+
+    @staticmethod
+    def covered(a, counts):
+        entries = [(a[i, i], "diagonal") for i in range(a.rows)]
+        entries += [(a[i, i + 1], "superdiagonal") for i in range(a.rows - 1)]
+        for value, where in entries:
+            re, im, _ = value.triple
+            kind = "real" if not im else "imaginary" if not re else "complex"
+            counts[where, kind if value else "zero"] += 1
+
+    def test_seeded_bidiagonal_a(self):
+        rng = random.Random(26)
+        specs = [s for s in SpecGenerator(6, BIDIAGONAL_POOL).specs() if classify(s).reversible]
+        counts, entries = Counter(), Counter()
+        for spec in rng.sample(specs, 40):
+            d = [random_nonzero_scalar(rng, 3, 3) for _ in range(spec.n)]
+            dm, dinv = ExactMatrix.diagonal(d), ExactMatrix.diagonal([x.inverse() for x in d])
+            a = dm * jordan_matrix(spec) * dinv
+            self.covered(a, entries)
+            reversers = list(itertools.islice(iter_involutive_reversers(spec, classify(spec)), 3))
+            reversers.append(sl_reverser_witness(spec).g)
+            for g0 in reversers:
+                g = dm * g0 * dinv
+                self.agrees(a, g, counts)
+                # one entry changed
+                i, j = rng.randrange(g.rows), rng.randrange(g.cols)
+                rows = [list(row) for row in g.entries]
+                rows[i][j] = rows[i][j] + rng.choice([ONE, MINUS_ONE, I, HALF])
+                self.agrees(a, ExactMatrix(rows), counts)
+                # conjugated by a polynomial in a, which commutes with a, and
+                # by an elementary matrix, which in general does not
+                p = _polynomial(a, [random_nonzero_scalar(rng, 3, 2), random_scalar(rng, 3, 2)])
+                k, m = rng.sample(range(spec.n), 2) if spec.n > 1 else (0, 0)
+                t = ExactMatrix([[random_nonzero_scalar(rng)]])
+                e = ExactMatrix.identity(spec.n) + ExactMatrix.from_blocks(spec.n, [(k, m, t)])
+                for h in (p, e):
+                    if h.det():
+                        self.agrees(a, h * g * h.inverse(), counts)
+        assert entries["diagonal", "real"] and entries["diagonal", "imaginary"]
+        assert entries["superdiagonal", "complex"] and entries["superdiagonal", "zero"]
+        assert not entries["diagonal", "zero"]
+        assert all(counts[key] >= 20 for key in itertools.product((True, False), repeat=2)), counts
+
+
 class TestEliminations:
     """Which checks still run an elimination."""
 
@@ -600,6 +685,7 @@ class TestEliminations:
             raise AssertionError("work beyond reading the diagonal of a")
 
         monkeypatch.setattr(matrices_module, "_eliminate", refuse)
+        monkeypatch.setattr(matrices_module, "_columns", refuse)
         monkeypatch.setattr(matrices_module, "_product", refuse)
         monkeypatch.setattr(ExactMatrix, "__mul__", refuse)
         for a in (
