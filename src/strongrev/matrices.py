@@ -146,20 +146,6 @@ def _columns(re: list[list[int]], im: list[list[int]]):
     return re, [(list(itertools.compress(cols, row)), row) for row in im]
 
 
-def _bidiagonal_columns(a: "ExactMatrix"):
-    """:func:`_columns` of the numerators of an upper bidiagonal a, read
-    from its diagonal and superdiagonal."""
-    last = a.cols - 1
-
-    def pairs(rows):
-        return [
-            (((i, i + 1) if r[i] else (i + 1,)) if i < last and r[i + 1] else (i,) * bool(r[i]), r)
-            for i, r in enumerate(rows)
-        ]
-
-    return pairs(a._re), pairs(a._im) if any(map(any, a._im)) else None
-
-
 def _product(a_re: list[list[int]], a_im: list[list[int]], b) -> tuple[list, list]:
     """Real and imaginary rows of the product of the integer matrix a_re +
     a_im*i and b, given by its :func:`_columns`; a zero imaginary part, in a
@@ -504,15 +490,17 @@ def _fill(m: ExactMatrix, re: list[list[int]], im: list[list[int]], d: int) -> N
     set_field(m, "_d", d)
 
 
-def _run_starts(a: ExactMatrix) -> list[int] | None:
-    """The first index of each maximal run of indices joined by nonzero
-    superdiagonal entries of a, if a is upper bidiagonal; None otherwise.
+def _read_a(a: ExactMatrix):
+    """(starts, columns) for an invertible a: the first index of each
+    maximal run of indices joined by nonzero superdiagonal entries of a, or
+    None if a is not upper bidiagonal, and the :func:`_columns` of a's
+    numerators, found in the same scan of a's rows when it is.
 
     An upper bidiagonal a is triangular, so it is singular exactly when a
-    diagonal entry is zero; the same scan reads the diagonal and raises
-    SingularMatrixError then."""
+    diagonal entry is zero, and the scan raises SingularMatrixError then;
+    any other a raises it when its determinant is zero."""
     n = a.cols
-    starts, singular = [0], False
+    starts, re_cols, im_cols, imaginary, singular = [0], [], [], False, False
     for i, (row_re, row_im) in enumerate(zip(a._re, a._im)):
         x, y = row_re[i], row_im[i]
         u, v = (row_re[i + 1], row_im[i + 1]) if i + 1 < n else (0, 0)
@@ -522,13 +510,18 @@ def _run_starts(a: ExactMatrix) -> list[int] | None:
             row_re.count(0) + (x != 0) + (u != 0) != n
             or row_im.count(0) + (y != 0) + (v != 0) != n
         ):
-            return None
+            if not a.det():
+                raise SingularMatrixError("matrix is singular")
+            return None, _columns(a._re, a._im)
         if i + 1 < n and not (u or v):
             starts.append(i + 1)
         singular = singular or not (x or y)
+        imaginary = imaginary or y or v
+        re_cols.append(((([i, i + 1] if u else [i]) if x else [i + 1] if u else []), row_re))
+        im_cols.append(((([i, i + 1] if v else [i]) if y else [i + 1] if v else []), row_im))
     if singular:
         raise SingularMatrixError("matrix is singular")
-    return starts
+    return starts, (re_cols, im_cols if imaginary else None)
 
 
 def _square_difference(
@@ -538,7 +531,7 @@ def _square_difference(
     rows of g * g at the indices starts, or at every index if starts is None;
     columns, if given, are the :func:`_columns` of g's numerators.
 
-    Pass starts = _run_starts(a) only if a is invertible and a g a = g;
+    Pass the starts of _read_a(a) only if a g a = g;
     check_witness shows why the rows at the run starts then decide
     g^2 = sign * I, and why the first of them that differs holds the first
     difference.
@@ -706,15 +699,16 @@ def _involution_det(g: ExactMatrix) -> GaussianRational:
 def check_witness(a: ExactMatrix, g: ExactMatrix) -> VerificationReport:
     """Decide g a g^{-1} == a^{-1}, g^2 == I and det g exactly.
 
-    a must be invertible; an upper bidiagonal a is, exactly when its
-    diagonal has no zero, and any other a is checked by its determinant.
-    For invertible a and g the reversal identity is equivalent to
-    a g a == g, decided first, on the numerators as (A G) A == d_a^2 G,
-    inverting nothing.  The nonzero columns of G's rows are found once, for
-    A G and for the rows of g^2; those of an upper bidiagonal A are read
-    from its two diagonals.  Only a failed reversal check with an invertible
-    g inverts both matrices, to report the first entry where g a g^{-1} and
-    a^{-1} differ.
+    a must be invertible.  Once the shapes fit, a is read in one scan of
+    its rows (:func:`_read_a`): an upper bidiagonal a is invertible exactly
+    when its diagonal has no zero, and the same scan finds its run starts
+    and the nonzero columns of its rows; any other a is checked by its
+    determinant.  For invertible a and g the reversal identity is
+    equivalent to a g a == g, decided first, on the numerators as
+    (A G) A == d_a^2 G, inverting nothing.  The nonzero columns of G's rows
+    are found once, for A G and for the rows of g^2.  Only a failed
+    reversal check with an invertible g inverts both matrices, to report the
+    first entry where g a g^{-1} and a^{-1} differ.
 
     Once a g a = g holds, g^2 = I is decided on a few rows of g^2 when a is
     upper bidiagonal.  Lemma: a g a = g gives g a = a^{-1} g and
@@ -734,15 +728,17 @@ def check_witness(a: ExactMatrix, g: ExactMatrix) -> VerificationReport:
     read from its trace; only a g with g^2 != I is eliminated for det g,
     and a singular g fails the reversal check with no position.
     """
+    return _check(a, g)
+
+
+def _check(a: ExactMatrix, g: ExactMatrix, reading=None) -> VerificationReport:
+    """check_witness(a, g), given reading = _read_a(a) or reading a here once
+    the shapes fit; a caller with many g for one a reads it once."""
     if not a.is_square() or not g.is_square() or a.rows != g.rows:
         raise ValueError("dimension mismatch between matrix and candidate reverser")
-    starts = _run_starts(a)
-    if starts is None and not a.det():
-        raise SingularMatrixError("matrix is singular")
+    starts, a_columns = reading or _read_a(a)
     columns = _columns(g._re, g._im)
-    reverses = _reverses(
-        a, g, _columns(a._re, a._im) if starts is None else _bidiagonal_columns(a), columns
-    )
+    reverses = _reverses(a, g, a_columns, columns)
     pos = _square_difference(g, 1, starts if reverses else None, columns)
     det = _involution_det(g) if pos is None else g.det()
     residuals: list[tuple[str, tuple[int, int] | None]] = []
@@ -754,4 +750,10 @@ def check_witness(a: ExactMatrix, g: ExactMatrix) -> VerificationReport:
         residuals.append(("reverses", (i + 1, j + 1)))
     if pos is not None:
         residuals.append(("involution", (pos[0] + 1, pos[1] + 1)))
-    return VerificationReport(reverses, pos is None, det, det == ONE, tuple(residuals))
+    # one dict literal as the instance dict, as reversal.classify builds its report
+    report = object.__new__(VerificationReport)
+    object.__setattr__(report, "__dict__", {
+        "reverses": reverses, "involution": pos is None, "determinant": det,
+        "in_special": det == ONE, "residuals": tuple(residuals),
+    })
+    return report

@@ -31,6 +31,8 @@ from .matrices import (
     ExactMatrix,
     PermutationMap,
     VerificationReport,
+    _check,
+    _read_a,
     check_witness,
 )
 from .partitions import Partition, parity_sets
@@ -158,7 +160,8 @@ def classification_sweep(gen: SpecGenerator) -> dict:
     Only ``gen.specs()`` is read, so any object with that method can feed
     the sweep, and every spec it yields is counted.  Each spec is classified
     once, and its witness or reversers are assembled from one table of each
-    R(lam, d) and unit multiple, built once per call."""
+    R(lam, d) and unit multiple, built once per call; a reversible-only
+    spec's Jordan matrix is read once for the checks of all its reversers."""
     cases = not_reversible = strong = only = witnesses = checked = 0
     failures: list[dict] = []
     reversers = reversal._Reversers()
@@ -185,9 +188,10 @@ def classification_sweep(gen: SpecGenerator) -> dict:
                     fail(f"reversible-only verdict, general verdict {verdict}")
                     continue
                 a = jordan_matrix(spec)
+                reading = _read_a(a)
                 for g in reversal._involutive_reversers(spec, report, reversers):
                     checked += 1
-                    vr = check_witness(a, g)
+                    vr = _check(a, g, reading)
                     if not (vr.reverses and vr.involution):
                         fail("harness reverser failed basic checks", report=vr.to_json_dict())
                         break

@@ -13,8 +13,9 @@ from strongrev.matrices import (
     ExactMatrix,
     PermutationMap,
     SingularMatrixError,
+    _columns,
     _eliminate,
-    _run_starts,
+    _read_a,
     direct_sum,
 )
 from strongrev.reversal import jordan_reverser
@@ -182,39 +183,121 @@ class TestDirectSum:
             direct_sum([ExactMatrix([[1, 2]])])
 
 
+def reference_reading(a):
+    """_read_a restated: the run starts read entry by entry from the
+    superdiagonal, or None when a nonzero lies off the diagonal and
+    superdiagonal, and the columns that _columns finds in a's rows."""
+    n, entries = a.rows, a.entries
+    if any(entries[i][j] for i in range(n) for j in range(n) if j not in (i, i + 1)):
+        return None, _columns(a._re, a._im)
+    return [0] + [j for j in range(1, n) if not entries[j - 1][j]], _columns(a._re, a._im)
+
+
 class TestRunStarts:
-    """_run_starts: the first index of each run of nonzero superdiagonal
-    entries of an upper bidiagonal matrix, None for any other matrix."""
+    """The run starts of _read_a: the first index of each run of nonzero
+    superdiagonal entries of an upper bidiagonal matrix, None for any other
+    matrix."""
 
     def test_diagonal_starts_everywhere(self):
-        assert _run_starts(ExactMatrix.diagonal([1, -1, 2, G(0, 1)])) == [0, 1, 2, 3]
+        assert _read_a(ExactMatrix.diagonal([1, -1, 2, G(0, 1)]))[0] == [0, 1, 2, 3]
 
     def test_jordan_blocks(self):
         blocks = [(G(1), 3), (G(2), 2), (G(Fraction(1, 2)), 2)]
         a = direct_sum([jordan_block(lam, size) for lam, size in blocks])
-        assert _run_starts(a) == [0, 3, 5]
+        assert _read_a(a)[0] == [0, 3, 5]
         # the canonical order puts 1/2 first
-        assert _run_starts(jordan_matrix(JordanSpec(blocks))) == [0, 2, 5]
+        assert _read_a(jordan_matrix(JordanSpec(blocks)))[0] == [0, 2, 5]
 
     def test_zero_superdiagonal_entry_splits_a_block(self):
         rows = [list(row) for row in jordan_block(G(3), 5).entries]
         rows[1][2] = ZERO
-        assert _run_starts(ExactMatrix(rows)) == [0, 2]
+        assert _read_a(ExactMatrix(rows))[0] == [0, 2]
         rows[0][1] = G(0, 2)  # a non-unit superdiagonal still joins
-        assert _run_starts(ExactMatrix(rows)) == [0, 2]
+        assert _read_a(ExactMatrix(rows))[0] == [0, 2]
 
     def test_not_upper_bidiagonal(self):
         lower = ExactMatrix([[1, 0, 0], [1, 1, 0], [0, 1, 1]])
-        assert _run_starts(lower) is None
-        assert _run_starts(ExactMatrix([[1, 1, 1], [0, 1, 1], [0, 0, 1]])) is None
-        assert _run_starts(random_matrix(random.Random(4), 4, 4)) is None
-        # only an upper bidiagonal matrix is read for singularity
-        assert _run_starts(ExactMatrix([[0, 1, 1], [0, 1, 0], [0, 0, 1]])) is None
+        assert _read_a(lower)[0] is None
+        assert _read_a(ExactMatrix([[1, 1, 1], [0, 1, 1], [0, 0, 1]]))[0] is None
+        assert _read_a(random_matrix(random.Random(4), 4, 4))[0] is None
+        # only an upper bidiagonal matrix is read for singularity: a zero on
+        # the diagonal of any other matrix is left to its determinant
+        assert _read_a(ExactMatrix([[0, 1, 1], [0, 1, 0], [1, 0, 1]]))[0] is None
+        with pytest.raises(SingularMatrixError, match="^matrix is singular$"):
+            _read_a(ExactMatrix([[0, 1, 1], [0, 1, 0], [0, 0, 1]]))
 
     def test_zero_diagonal_entry_is_singular(self):
         for rows in ([[0]], [[1, 1, 0], [0, 0, 1], [0, 0, 1]], [[1, 0], [0, 0]]):
-            with pytest.raises(SingularMatrixError):
-                _run_starts(ExactMatrix(rows))
+            with pytest.raises(SingularMatrixError, match="^matrix is singular$"):
+                _read_a(ExactMatrix(rows))
+
+
+class TestReadA:
+    """_read_a against reference_reading: the run starts and the columns of
+    a's numerators, from one scan of a's rows."""
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            ExactMatrix.diagonal([1, -1, 2, G(0, 1)]),
+            ExactMatrix.diagonal([G(Fraction(1, 2)), G(0, -1), 3]),
+            ExactMatrix.diagonal([1, 2, -1]),
+            jordan_matrix(JordanSpec([(ONE, 3), (MINUS_ONE, 2), (ONE, 1)])),
+            jordan_matrix(JordanSpec([(G(0, 1), 2), (G(0, -1), 2), (ONE, 1)])),
+            jordan_matrix(JordanSpec([(G(2), 3), (G(Fraction(1, 2)), 3), (MINUS_ONE, 2)])),
+            jordan_matrix(JordanSpec([(G(0, Fraction(3, 2)), 2), (G(0, Fraction(-2, 3)), 2)])),
+            ExactMatrix([[2, G(0, 3), 0], [0, 2, 0], [0, 0, G(1, 1)]]),  # imaginary superdiagonal
+            ExactMatrix([[G(0, 1), 0, 0], [0, G(0, 1), 1], [0, 0, G(0, 1)]]),  # zero inside
+        ],
+        ids=[
+            "diagonal-1-i", "diagonal-half-minus-i", "diagonal-real", "jordan-plus-minus-one",
+            "jordan-i-pair", "jordan-2-half", "jordan-3i-half", "imaginary-superdiagonal",
+            "zero-superdiagonal-inside",
+        ],
+    )
+    def test_bidiagonal_matches_reference(self, a, monkeypatch):
+        def refuse(self):
+            raise AssertionError("an upper bidiagonal a is read from its diagonals")
+
+        monkeypatch.setattr(ExactMatrix, "det", refuse)
+        assert _read_a(a) == reference_reading(a)
+        assert _read_a(a)[0] is not None
+
+    def test_off_band_entry_has_no_starts_and_checks_the_determinant(self, monkeypatch):
+        dets = []
+        det = ExactMatrix.det
+
+        def counting(self):
+            dets.append(self)
+            return det(self)
+
+        monkeypatch.setattr(ExactMatrix, "det", counting)
+        for i, j in [(1, 0), (0, 2), (3, 1)]:
+            rows = [list(row) for row in jordan_matrix(JordanSpec([(G(0, 1), 2), (G(2), 2)])).entries]
+            rows[i][j] = G(1, -1)
+            a = ExactMatrix(rows)
+            dets.clear()
+            assert _read_a(a) == reference_reading(a)
+            assert _read_a(a)[0] is None and dets == [a, a]
+
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from([ONE, MINUS_ONE, G(0, 1), G(0, -1), G(2), G(Fraction(1, 2))]),
+                      st.sampled_from([ZERO, ONE, G(0, 2), G(Fraction(-1, 3), 1)])),
+            min_size=1,
+            max_size=7,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_any_band_matches_reference(self, band):
+        n = len(band)
+        a = ExactMatrix(
+            [
+                [band[i][0] if j == i else band[i][1] if j == i + 1 else ZERO for j in range(n)]
+                for i in range(n)
+            ]
+        )
+        assert _read_a(a) == reference_reading(a)
 
 
 class TestPermutationMap:

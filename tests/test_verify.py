@@ -23,7 +23,7 @@ from strongrev.matrices import (
     ExactMatrix,
     PermutationMap,
     SingularMatrixError,
-    _run_starts,
+    _read_a,
     _square_difference,
     direct_sum,
     offsets,
@@ -349,7 +349,7 @@ class TestRunEndInvolutionCheck:
             )
             g = p * s * p.inverse()
             assert self.agrees(a, g).reverses
-            assert _square_difference(g, -1, _run_starts(a)) == dense_square_difference(
+            assert _square_difference(g, -1, _read_a(a)[0]) == dense_square_difference(
                 g, MINUS_ONE
             )
 
@@ -369,7 +369,7 @@ class TestRunEndInvolutionCheck:
         assert bundle.report.reverses and not bundle.report.involution
         self.agrees(bundle.a, bundle.g)
         for a, g in [(bundle.a, bundle.g), _rescaled(bundle.a, bundle.g, random.Random(1))]:
-            assert _square_difference(g, -1, _run_starts(a)) == dense_square_difference(
+            assert _square_difference(g, -1, _read_a(a)[0]) == dense_square_difference(
                 g, MINUS_ONE
             )
 
@@ -422,7 +422,7 @@ class TestRunEndInvolutionCheck:
         square = h * h
         assert all(square[i, j] == (ONE if i == j else ZERO) for i in range(4) for j in (1, 3))
         assert all(square[i, j] == (ONE if i == j else ZERO) for i in (0, 2) for j in range(4))
-        assert _run_starts(b) is None
+        assert _read_a(b)[0] is None
         report = self.agrees(b, h)
         assert report.reverses and not report.involution
 
@@ -519,7 +519,7 @@ class TestCheckWitnessMatchesReference:
             report = self.same(a, g)
             assert report.reverses and report.involution
             b, h = self.conjugated(a, g, rng)
-            bidiagonal += _run_starts(b) is not None
+            bidiagonal += _read_a(b)[0] is not None
             assert self.same(b, h) == report
         # most conjugates are not upper bidiagonal, so a's determinant is eliminated
         assert bidiagonal < len(involutive) // 2
@@ -955,6 +955,31 @@ class TestClassificationSweep:
             for spec in self.REVERSIBLE_ONLY
         ]
         assert all(not f["report"]["reverses"] for f in failures)
+
+    def test_shared_reading_of_a_skips_no_reverser(self, monkeypatch):
+        # each spec's real first reverser passes; the identity after it is
+        # checked against the same reading of a and must still fail
+        real = reversal_module._involutive_reversers
+
+        def first_then_identity(spec, report, reversers):
+            yield next(real(spec, report, reversers))
+            yield ExactMatrix.identity(spec.n)
+
+        class Feed:
+            def specs(self):
+                return iter(TestClassificationSweep.MIXED_SPECS)
+
+        monkeypatch.setattr(reversal_module, "_involutive_reversers", first_then_identity)
+        summary = classification_sweep(Feed())
+        assert summary["involutive_reversers_checked"] == 2 * len(self.REVERSIBLE_ONLY)
+        assert summary["failures"] == [
+            {
+                "spec": spec.to_json_dict(),
+                "problem": "harness reverser failed basic checks",
+                "report": check_witness(jordan_matrix(spec), ExactMatrix.identity(spec.n)).to_json_dict(),
+            }
+            for spec in self.REVERSIBLE_ONLY
+        ]
 
     def test_records_an_involutive_reverser_with_det_plus_one(self, monkeypatch):
         # Every involutive reverser of a reversible-only Jordan matrix has
