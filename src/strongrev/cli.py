@@ -314,18 +314,11 @@ def _squares_to_minus_identity(p: dict) -> bool:
     (a - a_jj) e_j / a_{j-1,j}, so a column q of g^2 equal to -e_q makes
     every column of the run equal to -e_j.  Only the run-end columns of g^2
     are formed then, each from column q of g and the columns of g that its
-    nonzeros reach, and only those columns of g are parsed; of a, only its
-    two diagonals, when every other entry is the text "0".  Otherwise all
+    nonzeros reach, and only those columns of g are parsed.  Otherwise all
     of g is parsed and squared."""
-    starts, a = None, p["a"]["entries"]
+    starts = None
     if p["verification"]["reverses"]:
-        bands = [row[i : i + 2] for i, row in enumerate(a)]
-        if all(r.count("0") - b.count("0") == len(r) - len(b) for r, b in zip(a, bands)):
-            if not all(parse(b[0]) for b in bands):
-                raise SingularMatrixError("matrix is singular")
-            starts = [0] + [i + 1 for i, b in enumerate(bands[:-1]) if not parse(b[1])]
-        else:
-            starts = _read_a(ExactMatrix.from_json_dict(p["a"]))[0]
+        starts = _read_a(ExactMatrix.from_json_dict(p["a"]))[0]
     if starts is None:
         return _square_difference(ExactMatrix.from_json_dict(p["g"]), -1) is None
     entries = p["g"]["entries"]

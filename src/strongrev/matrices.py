@@ -750,10 +750,4 @@ def _check(a: ExactMatrix, g: ExactMatrix, reading=None) -> VerificationReport:
         residuals.append(("reverses", (i + 1, j + 1)))
     if pos is not None:
         residuals.append(("involution", (pos[0] + 1, pos[1] + 1)))
-    # one dict literal as the instance dict, as reversal.classify builds its report
-    report = object.__new__(VerificationReport)
-    object.__setattr__(report, "__dict__", {
-        "reverses": reverses, "involution": pos is None, "determinant": det,
-        "in_special": det == ONE, "residuals": tuple(residuals),
-    })
-    return report
+    return VerificationReport(reverses, pos is None, det, det == ONE, tuple(residuals))

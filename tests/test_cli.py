@@ -145,41 +145,6 @@ class TestWitness:
         }
         assert "note: g squares to -I" in witness_text(payload).splitlines()
 
-    @pytest.fixture
-    def built(self, monkeypatch):
-        """The data of every ExactMatrix.from_json_dict call."""
-        calls = []
-        from_json_dict = ExactMatrix.from_json_dict.__func__
-
-        def recording(cls, data):
-            calls.append(data)
-            return from_json_dict(cls, data)
-
-        monkeypatch.setattr(ExactMatrix, "from_json_dict", classmethod(recording))
-        return calls
-
-    def test_minus_identity_note_reads_the_band_text_of_a(self, built):
-        # the recorded --sl-only witness of a reversible-only spec: a is read
-        # from its diagonal and superdiagonal text, and the text is unchanged
-        golden = Path(__file__).parent / "golden"
-        payload = json.loads((golden / "witness-sl-only-minus-i-json.out").read_text())
-        text = witness_text(payload) + "\n"
-        assert text.encode() == (golden / "witness-sl-only-minus-i-text.out").read_bytes()
-        assert "note: g squares to -I" in text.splitlines()
-        assert built == []
-
-    @pytest.mark.parametrize("blocks, note", [([("1", 6)], True), ([("1", 6), ("-1", 4)], False)])
-    def test_minus_identity_note_with_a_non_canonical_zero_off_the_band(
-        self, tmp_path, capsys, built, blocks, note
-    ):
-        path = spec_file(tmp_path, blocks)
-        assert main(["witness", "--input", path, "--sl-only", "--format", "json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        payload["a"]["entries"][3][0] = "0/3"
-        built.clear()
-        assert ("note: g squares to -I" in witness_text(payload).splitlines()) == note
-        assert built[0] is payload["a"]
-
     def test_not_reversible_exit(self, tmp_path, capsys):
         path = spec_file(tmp_path, [("2", 1)])
         assert main(["witness", "--input", path, "--involutive"]) == 2
