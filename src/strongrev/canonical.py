@@ -128,12 +128,7 @@ _set_blocks = JordanSpec.blocks.__set__
 
 def _jordan(blocks: list[tuple[tuple[int, int, int], int]]) -> ExactMatrix:
     """Direct sum of the Jordan blocks J(lam, m) given as (triple of lam, m)
-    pairs, built in one pass over the lcm d of the eigenvalue denominators.
-
-    The result is normalized as built.  For a prime p dividing d, take an
-    eigenvalue (a + b*i)/e whose e holds the highest power of p in d: p
-    divides e but not d / e, and gcd(a, b, e) = 1, so p misses a or b and
-    with it a * d / e or b * d / e on that block's diagonal."""
+    pairs, built in one pass over the lcm d of the eigenvalue denominators."""
     d = math.lcm(*(e for (_, _, e), _ in blocks))
     n = sum(size for _, size in blocks)
     re = [[0] * n for _ in range(n)]
@@ -146,7 +141,7 @@ def _jordan(blocks: list[tuple[tuple[int, int, int], int]]) -> ExactMatrix:
         for i in range(k, k + size - 1):
             re[i][i + 1] = d
         k += size
-    return ExactMatrix._from_normalized(re, im, d)
+    return ExactMatrix.from_numerators(re, im, d)
 
 
 def jordan_block(eigenvalue, size: int) -> ExactMatrix:

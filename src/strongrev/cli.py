@@ -18,13 +18,7 @@ import sys
 
 from . import reversal, verify
 from .canonical import JordanSpec, weyr_form
-from .matrices import (
-    ExactMatrix,
-    SingularMatrixError,
-    _read_a,
-    _square_difference,
-    format_grid,
-)
+from .matrices import ExactMatrix, SingularMatrixError, _read_a, format_grid
 from .partitions import Partition
 from .scalars import MINUS_ONE, ZERO, as_int, json_fields, parse
 
@@ -34,10 +28,11 @@ __all__ = ["main", "entrypoint"]
 # have more rows or columns than this, before building it; classify builds none.
 MAX_DIMENSION = 512
 
-# verify refuses (exit 3) a matrix entry whose text is longer than this,
-# before parsing any entry: CPython converts between int and text in time
-# that grows faster than the digit count.  The tallest entries a witness
-# prints in the tests and CI have about 4 400 characters.
+# Every command refuses (exit 3) a JSON integer literal longer than this, and
+# a spec eigenvalue or verify's matrix entry whose text is longer, before
+# converting any of them: CPython converts between int and text in time that
+# grows faster than the digit count.  The tallest entries a witness prints in
+# the tests and CI have about 4 400 characters.
 MAX_ENTRY_LENGTH = 10_000
 
 # selftest refuses (exit 3) a larger --max-n: its exhaustive sweep grows
@@ -62,17 +57,35 @@ def _unique_keys(pairs: list) -> dict:
 
 
 def _load_json(path: str):
+    def bounded_int(text: str) -> int:
+        _check_lengths(path, "JSON integer", [text])
+        return int(text)
+
     try:
         with open(path) as fh:
-            return json.load(fh, object_pairs_hook=_unique_keys)
+            return json.load(fh, object_pairs_hook=_unique_keys, parse_int=bounded_int)
     except (OSError, ValueError) as exc:  # ValueError covers JSON and text decode errors
         raise CliInputError(f"{path}: {exc}") from exc
     except RecursionError:
         raise CliInputError(f"{path}: JSON nested too deeply") from None
 
 
+def _check_lengths(path: str, what: str, values) -> None:
+    """Refuse a text among values that is longer than MAX_ENTRY_LENGTH."""
+    longest = max((len(v) for v in values if isinstance(v, str)), default=0)
+    if longest > MAX_ENTRY_LENGTH:
+        raise CliInputError(
+            f"{path}: {what} of {longest} characters exceeds the limit {MAX_ENTRY_LENGTH}"
+        )
+
+
 def _load_spec(path: str) -> JordanSpec:
+    """The spec of a file; its eigenvalue texts are checked before any is parsed."""
     data = _load_json(path)
+    blocks = data.get("blocks") if isinstance(data, dict) else None
+    if isinstance(blocks, list):
+        eigenvalues = [b.get("eigenvalue") for b in blocks if isinstance(b, dict)]
+        _check_lengths(path, "eigenvalue", eigenvalues)
     try:
         return JordanSpec.from_json_dict(data)
     except (TypeError, ValueError) as exc:
@@ -86,7 +99,7 @@ def _check_dimension(path: str, n: int) -> None:
 
 def _matrix_json(path: str) -> dict:
     """The JSON of a matrix file, with its keys checked, its rows and cols
-    against MAX_DIMENSION and the length of each distinct entry text against
+    against MAX_DIMENSION and the length of each entry text against
     MAX_ENTRY_LENGTH; no entry is parsed.  An entries grid of any other
     shape is left for the matrix reader to refuse."""
     data = _load_json(path)
@@ -96,12 +109,7 @@ def _matrix_json(path: str) -> dict:
     except (TypeError, ValueError) as exc:
         raise CliInputError(f"{path}: invalid matrix: {exc}") from exc
     if isinstance(entries, list) and all(isinstance(row, list) for row in entries):
-        texts = {v for row in entries for v in row if isinstance(v, str)}
-        longest = max(map(len, texts), default=0)
-        if longest > MAX_ENTRY_LENGTH:
-            raise CliInputError(
-                f"{path}: matrix entry of {longest} characters exceeds the limit {MAX_ENTRY_LENGTH}"
-            )
+        _check_lengths(path, "matrix entry", (v for row in entries for v in row))
     return data
 
 
@@ -307,22 +315,22 @@ def classify_text(p: dict) -> str:
 
 
 def _squares_to_minus_identity(p: dict) -> bool:
-    """g^2 = -I for the a and g of a witness payload, read from their text.
+    """g^2 = -I for the a and g of a witness payload, read from their text,
+    one column of g^2 at a time: column q is formed from column q of g and
+    the columns of g that its nonzeros reach, and only those are parsed.
 
     If g reverses a and a is upper bidiagonal, g^2 commutes with a (the
     lemma of check_witness).  Within a run p..q of a, e_{j-1} is
     (a - a_jj) e_j / a_{j-1,j}, so a column q of g^2 equal to -e_q makes
-    every column of the run equal to -e_j.  Only the run-end columns of g^2
-    are formed then, each from column q of g and the columns of g that its
-    nonzeros reach, and only those columns of g are parsed.  Otherwise all
-    of g is parsed and squared."""
-    starts = None
+    every column of the run equal to -e_j, and only the run-end columns are
+    formed.  Otherwise every column is."""
+    entries = p["g"]["entries"]
+    ends = range(len(entries))
     if p["verification"]["reverses"]:
         starts = _read_a(ExactMatrix.from_json_dict(p["a"]))[0]
-    if starts is None:
-        return _square_difference(ExactMatrix.from_json_dict(p["g"]), -1) is None
-    entries = p["g"]["entries"]
-    for q in [s - 1 for s in starts[1:]] + [len(entries) - 1]:
+        if starts is not None:
+            ends = [s - 1 for s in starts[1:]] + [len(entries) - 1]
+    for q in ends:
         square = [ZERO] * len(entries)  # column q of g^2
         for k, row in enumerate(entries):
             x = parse(row[q])

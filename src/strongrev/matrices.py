@@ -204,33 +204,22 @@ class ExactMatrix:
         ]
         if data and data[0] and any(len(row) != len(data[0]) for row in data):
             raise ValueError("ragged rows")
-        # Over the least common denominator of normalized entries the
-        # triple is already normalized.
         d = lcm(*(e for row in data for _, _, e in row))
-        _fill(
-            self,
-            [[a * (d // e) for a, _, e in row] for row in data],
-            [[b * (d // e) for _, b, e in row] for row in data],
-            d,
-        )
+        re = [[a * (d // e) for a, _, e in row] for row in data]
+        im = [[b * (d // e) for _, b, e in row] for row in data]
+        _fill(self, *_normalized(re, im, d))
 
     @classmethod
     def from_numerators(
         cls, re: list[list[int]], im: list[list[int]], d: int
     ) -> "ExactMatrix":
-        """The matrix (re + im*i)/d, normalized, for equally long nonempty
-        rows of ints and an int d > 0.  The row lists are taken over, not
+        """The matrix (re + im*i)/d for equally long nonempty rows of ints
+        and an int d > 0, with the gcd of d and every numerator divided out
+        by :func:`_normalized`, as in every construction but the trusted
+        build of :meth:`from_blocks`.  The row lists are taken over, not
         copied."""
-        return cls._from_normalized(*_normalized(re, im, d))
-
-    @classmethod
-    def _from_normalized(
-        cls, re: list[list[int]], im: list[list[int]], d: int
-    ) -> "ExactMatrix":
-        """from_numerators for rows and d that are already normalized: the
-        caller guarantees that no prime divides d and every numerator."""
         m = object.__new__(cls)
-        _fill(m, re, im, d)
+        _fill(m, *_normalized(re, im, d))
         return m
 
     def __hash__(self) -> int:
@@ -288,7 +277,9 @@ class ExactMatrix:
         for i in range(n):
             if re[i] is None:
                 re[i], im[i] = [0] * n, [0] * n
-        return cls._from_normalized(re, im, d)
+        m = object.__new__(cls)
+        _fill(m, re, im, d)
+        return m
 
     def __getitem__(self, key) -> GaussianRational:
         i, j = key
@@ -324,12 +315,11 @@ class ExactMatrix:
             return NotImplemented
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch in addition")
-        g = gcd(self._d, other._d)
-        s, t = other._d // g, self._d // g
+        s, t = other._d, self._d
         return ExactMatrix.from_numerators(
             [[x * s + y * t for x, y in zip(a, b)] for a, b in zip(self._re, other._re)],
             [[x * s + y * t for x, y in zip(a, b)] for a, b in zip(self._im, other._im)],
-            self._d * s,
+            s * t,
         )
 
     def __sub__(self, other):
@@ -479,7 +469,9 @@ class ExactMatrix:
 
 
 def _fill(m: ExactMatrix, re: list[list[int]], im: list[list[int]], d: int) -> None:
-    """Set the fields of a new matrix from a normalized triple."""
+    """Set the fields of a new matrix from rows and a denominator that are
+    normalized: by :func:`_normalized`, or by the proof in
+    :meth:`ExactMatrix.from_blocks`."""
     if not re or not re[0]:
         raise ValueError("matrix must have at least one row and column")
     set_field = object.__setattr__

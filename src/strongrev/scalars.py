@@ -112,7 +112,8 @@ class GaussianRational:
                 other = as_scalar(other)
             except TypeError:
                 return NotImplemented
-        return _sum(self._a, self._b, self._d, other._a, other._b, other._d)
+        d1, d2 = self._d, other._d
+        return from_triple(self._a * d2 + other._a * d1, self._b * d2 + other._b * d1, d1 * d2)
 
     __radd__ = __add__
 
@@ -122,7 +123,8 @@ class GaussianRational:
                 other = as_scalar(other)
             except TypeError:
                 return NotImplemented
-        return _sum(self._a, self._b, self._d, -other._a, -other._b, other._d)
+        d1, d2 = self._d, other._d
+        return from_triple(self._a * d2 - other._a * d1, self._b * d2 - other._b * d1, d1 * d2)
 
     def __rsub__(self, other):
         try:
@@ -274,21 +276,6 @@ def inverse_triple(a: int, b: int, d: int) -> tuple[int, int, int]:
     re, im = d * a, -d * b
     g = gcd(re, im, n)
     return (re // g, im // g, n // g)
-
-
-def _sum(a1: int, b1: int, d1: int, a2: int, b2: int, d2: int) -> GaussianRational:
-    """(a1 + b1*i)/d1 + (a2 + b2*i)/d2 over the least common denominator.
-
-    As for Fraction addition, a common factor of the numerators and the
-    least common denominator can only come from gcd(d1, d2)."""
-    g = gcd(d1, d2)
-    s, t = d1 // g, d2 // g
-    a = a1 * t + a2 * s
-    b = b1 * t + b2 * s
-    g = gcd(a, b, g)
-    if g == 1:
-        return _triple(a, b, s * d2)
-    return _triple(a // g, b // g, s * (d2 // g))
 
 
 def _ratio(n: int, d: int) -> str:

@@ -3,6 +3,7 @@ import json
 import math
 import sys
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import reference_parse
+import strongrev.canonical as canonical_module
 import strongrev.matrices as matrices_module
 from strongrev.cli import MAX_DIMENSION, MAX_ENTRY_LENGTH, MAX_SELFTEST_N, _json_text, main, witness_text
 from strongrev.canonical import JordanSpec, jordan_matrix
@@ -459,6 +461,80 @@ class TestEntryLengthLimit:
         g = self.one_by_one(tmp_path, "g.json", "9" * 10**6)
         assert main(["verify", "--matrix-a", a, "--matrix-g", g]) == 3
         assert f"exceeds the limit {MAX_ENTRY_LENGTH}" in capsys.readouterr().err
+
+
+class TestSpecAndIntegerLengthLimit:
+    """Every command refuses a spec eigenvalue text or a JSON integer literal
+    longer than MAX_ENTRY_LENGTH before converting it.  The literals are
+    written as text: json.dumps refuses ints this long outside the CLI."""
+
+    def spec_text(self, tmp_path, eigenvalue="1", size="1"):
+        path = tmp_path / "spec.json"
+        path.write_text(f'{{"blocks": [{{"eigenvalue": "{eigenvalue}", "size": {size}}}]}}')
+        return str(path)
+
+    def test_eigenvalue_and_size_at_the_limit_are_read(self, tmp_path, capsys):
+        tall = "1" + "0" * (MAX_ENTRY_LENGTH - 1)
+        # J(10^9999, 1) has no partner block: a verdict, not a refusal
+        assert main(["classify", "--input", self.spec_text(tmp_path, eigenvalue=tall)]) == 2
+        assert f"spec: J({tall},1)" in capsys.readouterr().out
+        # J(1, 10^9999) is strongly reversible
+        assert main(["classify", "--input", self.spec_text(tmp_path, size=tall)]) == 0
+        assert f"(n = {tall})" in capsys.readouterr().out
+
+    def test_longer_eigenvalue_refused_before_any_block_is_parsed(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def refuse(text):
+            raise AssertionError("an eigenvalue was parsed")
+
+        monkeypatch.setattr(canonical_module, "parse", refuse)
+        path = tmp_path / "spec.json"
+        long = "1" * (MAX_ENTRY_LENGTH + 1)
+        blocks = [{"eigenvalue": "x", "size": 1}, {"eigenvalue": long, "size": 1}]
+        path.write_text(json.dumps({"blocks": blocks}))
+        assert main(["classify", "--input", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {path}: eigenvalue of {MAX_ENTRY_LENGTH + 1} characters "
+            f"exceeds the limit {MAX_ENTRY_LENGTH}\n"
+        )
+
+    def test_longer_size_refused(self, tmp_path, capsys):
+        path = self.spec_text(tmp_path, size="1" * (MAX_ENTRY_LENGTH + 1))
+        assert main(["classify", "--input", path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {path}: JSON integer of {MAX_ENTRY_LENGTH + 1} characters "
+            f"exceeds the limit {MAX_ENTRY_LENGTH}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            ([command, "--input", "{path}"], field)
+            for command in ("classify", "witness", "weyr")
+            for field in ("eigenvalue", "size")
+        ]
+        + [(["verify", "--matrix-a", "{path}", "--matrix-g", "{path}"], "rows")],
+    )
+    def test_a_megabyte_text_is_refused_at_once(self, tmp_path, capsys, argv, field):
+        digits = "7" * 10**6
+        if field == "rows":
+            path = tmp_path / "matrix.json"
+            path.write_text(f'{{"rows": {digits}, "cols": 1, "entries": [["1"]]}}')
+            path = str(path)
+        else:
+            path = self.spec_text(tmp_path, **{field: digits})
+        start = time.perf_counter()
+        assert main([a.format(path=path) for a in argv]) == 3
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: ")
+        assert captured.err.endswith(f"of {10**6} characters exceeds the limit {MAX_ENTRY_LENGTH}\n")
 
 
 class TestExitCodes:

@@ -47,6 +47,8 @@ CASES = dict(
     + _formats("classify-malformed-duplicate-key", ["classify", "--input", "duplicate_key.json"])
     + _formats("verify-malformed-entry", ["verify", "--matrix-a", "bad_entry_a.json", "--matrix-g", "pass_g.json"])
     + _formats("verify-long-entry", ["verify", "--matrix-a", "pass_a.json", "--matrix-g", "long_entry_g.json"])
+    + _formats("classify-long-eigenvalue", ["classify", "--input", "long_eigenvalue.json"])
+    + _formats("classify-long-size", ["classify", "--input", "long_size.json"])
     + _formats("classify-malformed-unknown-block-key", ["classify", "--input", "unknown_block_key.json"])
     + _formats("classify-malformed-unknown-spec-key", ["classify", "--input", "unknown_spec_key.json"])
     + _formats("classify-malformed-blocks-object", ["classify", "--input", "blocks_object.json"])

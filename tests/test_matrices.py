@@ -1,10 +1,10 @@
 import itertools
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from oracles import laplace_det
 from strongrev import matrices
@@ -17,8 +17,10 @@ from strongrev.matrices import (
     _eliminate,
     _read_a,
     direct_sum,
+    inflate,
+    offsets,
 )
-from strongrev.reversal import jordan_reverser
+from strongrev.reversal import jordan_reverser, jordan_reverser_recurrence
 from strongrev.scalars import GaussianRational, MINUS_ONE, ONE, ZERO, parse
 
 G = GaussianRational
@@ -714,3 +716,176 @@ class TestJsonWriter:
         # the writer formats only nonzero entries; the reference formats all
         m = ExactMatrix(entries)
         assert m.to_json_dict()["entries"] == [[str(v) for v in row] for row in m.entries]
+
+
+# Every construction route must end in the one normal form: d > 0, no prime
+# dividing d and every numerator, and so the fields that from_numerators
+# gives for the same values over any common denominator.  Each route returns
+# its matrix and the values it stands for, worked out entry by entry.
+def scalars_over(dens=(1, 2, 3)):
+    """Values (a + b*i)/e with e drawn from dens."""
+    part = st.integers(-6, 6)
+    return st.builds(lambda a, b, e: G(Fraction(a, e), Fraction(b, e)), part, part, st.sampled_from(dens))
+
+
+def drawn_grid(data, rows=None, cols=None, dens=(1, 2, 3)):
+    """A grid of zeros and values over the denominators dens."""
+    rows = rows or data.draw(st.integers(1, 3))
+    cols = cols or data.draw(st.integers(1, 3))
+    entry = st.just(ZERO) | scalars_over(dens)
+    return [[data.draw(entry) for _ in range(cols)] for _ in range(rows)]
+
+
+def nonzero_scalar(data):
+    return data.draw(scalars_over().filter(bool))
+
+
+def fields(m):
+    return m.rows, m.cols, m._re, m._im, m._d
+
+
+def from_numerators_of(values, factor):
+    """from_numerators on the values, over factor times their least common
+    denominator."""
+    d = factor * lcm(*(v.triple[2] for row in values for v in row))
+    return ExactMatrix.from_numerators(
+        [[v.triple[0] * (d // v.triple[2]) for v in row] for row in values],
+        [[v.triple[1] * (d // v.triple[2]) for v in row] for row in values],
+        d,
+    )
+
+
+def placed(n, placements):
+    """The n x n values that are zero but for each (row0, col0, grid)."""
+    values = [[ZERO] * n for _ in range(n)]
+    for row0, col0, grid in placements:
+        for i, row in enumerate(grid):
+            values[row0 + i][col0 : col0 + len(row)] = row
+    return values
+
+
+def jordan_values(blocks):
+    n = sum(size for _, size in blocks)
+    tops = offsets(size for _, size in blocks)
+    values = placed(n, [])
+    for k, (lam, size) in zip(tops, blocks):
+        for i in range(k, k + size):
+            values[i][i] = lam
+            if i + 1 < k + size:
+                values[i][i + 1] = ONE
+    return values
+
+
+def route_constructor(data):
+    grid = drawn_grid(data)
+    return ExactMatrix(grid), grid
+
+
+def route_from_numerators_with_a_common_factor(data):
+    grid = drawn_grid(data)
+    return from_numerators_of(grid, data.draw(st.integers(2, 6))), grid
+
+
+def route_from_json_dict(data):
+    grid = drawn_grid(data)
+    entries = [[str(v) for v in row] for row in grid]
+    payload = {"rows": len(grid), "cols": len(grid[0]), "entries": entries}
+    return ExactMatrix.from_json_dict(payload), grid
+
+
+def route_from_blocks(data):
+    # x and y share rows; each block is over its own denominator
+    p, q = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    den = st.sampled_from([1, 2, 3])
+    x, y, z = (drawn_grid(data, r, c, (data.draw(den),)) for r, c in ((p, p), (p, q), (q, q)))
+    placements = [(0, 0, x), (0, p, y), (p, p, z)]
+    m = ExactMatrix.from_blocks(p + q, [(r, c, ExactMatrix(b)) for r, c, b in placements])
+    return m, placed(p + q, placements)
+
+
+def route_jordan_matrix(data):
+    count = data.draw(st.integers(1, 3))
+    spec = JordanSpec((nonzero_scalar(data), data.draw(st.integers(1, 3))) for _ in range(count))
+    return jordan_matrix(spec), jordan_values(spec.blocks)
+
+
+def route_jordan_block(data):
+    lam, size = nonzero_scalar(data), data.draw(st.integers(1, 4))
+    return jordan_block(lam, size), jordan_values([(lam, size)])
+
+
+def route_product(data):
+    rows, inner, cols = (data.draw(st.integers(1, 3)) for _ in range(3))
+    x, y = drawn_grid(data, rows, inner), drawn_grid(data, inner, cols)
+    return ExactMatrix(x) * ExactMatrix(y), ref_mul(x, y)
+
+
+def route_sum(data):
+    x = drawn_grid(data)
+    y = drawn_grid(data, len(x), len(x[0]))
+    return ExactMatrix(x) + ExactMatrix(y), [[u + v for u, v in zip(a, b)] for a, b in zip(x, y)]
+
+
+def route_difference(data):
+    x = drawn_grid(data)
+    y = drawn_grid(data, len(x), len(x[0]))
+    return ExactMatrix(x) - ExactMatrix(y), [[u - v for u, v in zip(a, b)] for a, b in zip(x, y)]
+
+
+def route_scale(data):
+    x, (c,) = drawn_grid(data), drawn_grid(data, 1, 1)[0]
+    return ExactMatrix(x).scale(c), [[c * u for u in row] for row in x]
+
+
+def route_inverse(data):
+    n = data.draw(st.integers(1, 3))
+    grid = drawn_grid(data, n, n)
+    expected = ref_inverse(grid)
+    assume(expected is not None)
+    return ExactMatrix(grid).inverse(), expected
+
+
+def route_inflate(data):
+    r = data.draw(st.integers(1, 3))
+    coeffs, sizes = drawn_grid(data, r, r), [data.draw(st.integers(1, 3)) for _ in range(r)]
+    starts = offsets(sizes)
+    values = placed(sum(sizes), [])
+    for i, j in itertools.product(range(r), repeat=2):
+        for t in range(min(sizes[i], sizes[j])):
+            values[starts[i] + t][starts[j] + t] = coeffs[i][j]
+    return inflate(ExactMatrix(coeffs), sizes), values
+
+
+def route_direct_sum(data):
+    sizes = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    grids = [drawn_grid(data, k, k) for k in sizes]
+    values = placed(sum(sizes), [(k, k, grid) for k, grid in zip(offsets(sizes), grids)])
+    return direct_sum([ExactMatrix(grid) for grid in grids]), values
+
+
+def route_conjugate(data):
+    n = data.draw(st.integers(1, 4))
+    grid, images = drawn_grid(data, n, n), data.draw(st.permutations(range(1, n + 1)))
+    # P a P^{-1} moves entry (i, j) of a to (images[i], images[j])
+    values = placed(n, [])
+    for i, j in itertools.product(range(n), repeat=2):
+        values[images[i] - 1][images[j] - 1] = grid[i][j]
+    return PermutationMap(images).conjugate(ExactMatrix(grid)), values
+
+
+def route_jordan_reverser(data):
+    lam, n = nonzero_scalar(data), data.draw(st.integers(1, 4))
+    return jordan_reverser(lam, n), grid_of(jordan_reverser_recurrence(lam, n))
+
+
+ROUTES = {name.removeprefix("route_"): f for name, f in globals().items() if name.startswith("route_")}
+
+
+class TestNormalForm:
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_every_route_gives_the_normal_form(self, route, data):
+        m, values = ROUTES[route](data)
+        assert_normalized(m)
+        assert fields(m) == fields(from_numerators_of(values, 6))
