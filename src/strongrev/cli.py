@@ -28,11 +28,11 @@ __all__ = ["main", "entrypoint"]
 # have more rows or columns than this, before building it; classify builds none.
 MAX_DIMENSION = 512
 
-# Every command refuses (exit 3) a JSON integer literal longer than this, and
-# a spec eigenvalue or verify's matrix entry whose text is longer, before
-# converting any of them: CPython converts between int and text in time that
-# grows faster than the digit count.  The tallest entries a witness prints in
-# the tests and CI have about 4 400 characters.
+# Each input file is refused (exit 3) for a JSON integer literal longer than
+# this, or a spec eigenvalue or verify's matrix entry whose text is longer,
+# before any of them is converted: CPython converts between int and text in
+# time that grows faster than the digit count.  The tallest entries a witness
+# prints in the tests and CI have about 4 400 characters.
 MAX_ENTRY_LENGTH = 10_000
 
 # selftest refuses (exit 3) a larger --max-n: its exhaustive sweep grows
