@@ -20,7 +20,7 @@ from . import reversal, verify
 from .canonical import JordanSpec, weyr_form
 from .matrices import ExactMatrix, SingularMatrixError, _read_a, format_grid
 from .partitions import Partition
-from .scalars import MINUS_ONE, ZERO, as_int, json_fields, parse
+from .scalars import MINUS_ONE, ZERO, as_int, echo, json_fields, parse
 
 __all__ = ["main", "entrypoint"]
 
@@ -34,6 +34,9 @@ MAX_DIMENSION = 512
 # time that grows faster than the digit count.  The tallest entries a witness
 # prints in the tests and CI have about 4 400 characters.
 MAX_ENTRY_LENGTH = 10_000
+
+# An error line echoes at most scalars.MAX_ECHO_LENGTH characters of a key
+# or value it names, then that text's length (scalars.echo).
 
 # selftest refuses (exit 3) a larger --max-n: its exhaustive sweep grows
 # quickly with n, and --max-n 9 already takes seconds.
@@ -51,7 +54,7 @@ def _unique_keys(pairs: list) -> dict:
         seen = set()
         for key, _ in pairs:
             if key in seen:
-                raise ValueError(f"duplicate key {json.dumps(key)}")
+                raise ValueError(f"duplicate key {echo(json.dumps(key))}")
             seen.add(key)
     return obj
 

@@ -33,7 +33,7 @@ from .matrices import (
     inflate,
     offsets,
 )
-from .scalars import GaussianRational, MINUS_ONE, ONE, ZERO, as_scalar, from_triple
+from .scalars import GaussianRational, MINUS_ONE, ONE, ZERO, as_scalar, from_triple, key_pair
 from .scalars import I as IMAGINARY
 
 __all__ = [
@@ -229,10 +229,12 @@ def classify(spec: JordanSpec) -> StrongReversibilityReport:
 
     One walk over the blocks pairs each (lam, r) block greedily with a
     (1/lam, r) block, ties broken by spec order, and collects the sizes of
-    the +-1 blocks, which stand alone.  It reads each eigenvalue's triple
-    and kept inverse key once per run of one scalar object.  A queue of
-    unpaired blocks is dropped once it empties, so the spec is reversible
-    exactly when no queue is left.
+    the +-1 blocks, which stand alone.  Once per run of one scalar object
+    it reads the pair (triple, inverse's triple) that the object keeps,
+    worked out by scalars.key_pair on first use, and tells a +-1 block by
+    the two triples being equal.  A queue of unpaired blocks is dropped
+    once it empties, so the spec is reversible exactly when no queue is
+    left.
     """
     blocks = spec.blocks
     pairs, singletons, plus, minus = [], [], [], []
@@ -242,8 +244,14 @@ def classify(spec: JordanSpec) -> StrongReversibilityReport:
     run = None
     for idx, (eig, size) in enumerate(blocks):
         if eig is not run:
-            run, triple, inverse = eig, eig.triple, eig.inverse_key
-            unit = plus if triple == _ONE else minus if triple == _MINUS_ONE else None
+            run = eig
+            try:
+                triple, inverse = eig._keys
+            except AttributeError:
+                triple, inverse = key_pair(eig)
+            # over Q(i) lam == 1/lam only for lam = +-1, whose real part
+            # tells which
+            unit = (plus if triple[0] > 0 else minus) if inverse == triple else None
         if unit is not None:
             singletons.append(idx)
             unit.append(size)

@@ -20,19 +20,27 @@ __all__ = [
     "ScalarParseError",
     "as_int",
     "as_scalar",
+    "echo",
     "format_triple",
     "from_triple",
     "inverse_triple",
     "json_fields",
+    "key_pair",
     "parse",
     "ZERO",
     "ONE",
     "MINUS_ONE",
     "I",
+    "MAX_ECHO_LENGTH",
 ]
 
 
 _HASH_MODULUS = sys.hash_info.modulus
+
+# An error message echoes at most this many characters of an input text,
+# then the text's length (see echo); cli.MAX_ENTRY_LENGTH caps the texts
+# that are read at all.
+MAX_ECHO_LENGTH = 40
 
 
 class ScalarParseError(ValueError):
@@ -52,12 +60,13 @@ class GaussianRational:
     fresh, normalized value.  Matrix arithmetic does not go through this
     class: :class:`~strongrev.matrices.ExactMatrix` works on the ints.
 
-    The slot ``_inverse`` keeps the triple of 1/z once :attr:`inverse_key`
-    has worked it out; it is derived from the triple, so it takes no part
-    in ``==``, ``hash``, pickling or ``repr``.
+    The slot ``_keys`` keeps the pair (triple of z, triple of 1/z) once
+    :func:`key_pair` has worked it out, on the first read of
+    :attr:`inverse_key` or by ``reversal.classify``; it is derived from the
+    triple, so it takes no part in ``==``, ``hash``, pickling or ``repr``.
     """
 
-    __slots__ = ("_a", "_b", "_d", "_inverse")
+    __slots__ = ("_a", "_b", "_d", "_keys")
 
     def __init__(self, re: int | Fraction = 0, im: int | Fraction = 0):
         if not isinstance(re, (int, Fraction)) or not isinstance(im, (int, Fraction)):
@@ -97,14 +106,12 @@ class GaussianRational:
 
     @property
     def inverse_key(self) -> tuple[int, int, int]:
-        """The normalized triple of 1/z, worked out on the first read and
-        kept on this object; zero raises ZeroDivisionError."""
+        """The normalized triple of 1/z, the second item of the kept
+        :func:`key_pair`; zero raises ZeroDivisionError."""
         try:
-            return self._inverse
+            return self._keys[1]
         except AttributeError:
-            key = inverse_triple(self._a, self._b, self._d)
-            _set_inverse(self, key)
-            return key
+            return key_pair(self)[1]
 
     def __add__(self, other):
         if type(other) is not GaussianRational:
@@ -247,7 +254,7 @@ _new = object.__new__
 _set_a = GaussianRational._a.__set__
 _set_b = GaussianRational._b.__set__
 _set_d = GaussianRational._d.__set__
-_set_inverse = GaussianRational._inverse.__set__
+_set_keys = GaussianRational._keys.__set__
 
 
 def _triple(a: int, b: int, d: int) -> GaussianRational:
@@ -278,6 +285,17 @@ def inverse_triple(a: int, b: int, d: int) -> tuple[int, int, int]:
     return (re // g, im // g, n // g)
 
 
+def key_pair(z: GaussianRational) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
+    """Work out the pair (triple of z, triple of 1/z) and keep it on z;
+    zero raises ZeroDivisionError and keeps nothing.  Readers take the kept
+    pair from the ``_keys`` slot and call this only when it is unset, so a
+    first read raises one AttributeError, not two."""
+    a, b, d = z._a, z._b, z._d
+    pair = ((a, b, d), inverse_triple(a, b, d))
+    _set_keys(z, pair)
+    return pair
+
+
 def _ratio(n: int, d: int) -> str:
     """n/d in lowest terms, as Fraction renders it."""
     g = gcd(n, d)
@@ -302,7 +320,15 @@ def as_int(value) -> int:
     anything else (floats, bools, text) raises TypeError."""
     if isinstance(value, int) and not isinstance(value, bool):
         return value
-    raise TypeError(f"expected an integer, got {type(value).__name__} {value!r}")
+    raise TypeError(f"expected an integer, got {type(value).__name__} {echo(repr(value))}")
+
+
+def echo(text: str) -> str:
+    """text as an error message shows it: whole up to MAX_ECHO_LENGTH
+    characters, else its first MAX_ECHO_LENGTH and its full length."""
+    if len(text) <= MAX_ECHO_LENGTH:
+        return text
+    return f"{text[:MAX_ECHO_LENGTH]}... ({len(text)} characters)"
 
 
 def json_fields(data, names: tuple[str, ...], what: str) -> tuple:
@@ -314,7 +340,7 @@ def json_fields(data, names: tuple[str, ...], what: str) -> tuple:
         raise ValueError(f"{what} must be a JSON object")
     for key in data:
         if key not in names:
-            raise ValueError(f"unknown key {json.dumps(key)} in {what}")
+            raise ValueError(f"unknown key {echo(json.dumps(key))} in {what}")
     for key in names:
         if key not in data:
             raise ValueError(f"missing key {json.dumps(key)} in {what}")

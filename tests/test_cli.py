@@ -17,7 +17,7 @@ import strongrev.matrices as matrices_module
 from strongrev.cli import MAX_DIMENSION, MAX_ENTRY_LENGTH, MAX_SELFTEST_N, _json_text, main, witness_text
 from strongrev.canonical import JordanSpec, jordan_matrix
 from strongrev.matrices import ExactMatrix
-from strongrev.scalars import GaussianRational
+from strongrev.scalars import MAX_ECHO_LENGTH, GaussianRational
 
 G = GaussianRational
 
@@ -535,6 +535,47 @@ class TestSpecAndIntegerLengthLimit:
         assert captured.out == ""
         assert captured.err.startswith(f"error: {path}: ")
         assert captured.err.endswith(f"of {10**6} characters exceeds the limit {MAX_ENTRY_LENGTH}\n")
+
+
+class TestEchoLimit:
+    """An error line echoes at most MAX_ECHO_LENGTH characters of a key or
+    value it names, then that text's length."""
+
+    BLOCKS = '[{"eigenvalue": "1", "size": 1}]'
+
+    def refusal(self, tmp_path, capsys, text):
+        path = tmp_path / "spec.json"
+        path.write_text(text)
+        assert main(["classify", "--input", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        return captured.err.removeprefix(f"error: {path}: ")
+
+    def test_a_megabyte_unknown_key(self, tmp_path, capsys):
+        key = "k" * 10**6
+        err = self.refusal(tmp_path, capsys, f'{{"blocks": {self.BLOCKS}, "{key}": 1}}')
+        shown = '"' + key[: MAX_ECHO_LENGTH - 1]
+        assert err == f"invalid Jordan spec: unknown key {shown}... ({10**6 + 2} characters) in the spec\n"
+
+    def test_a_long_duplicate_key(self, tmp_path, capsys):
+        key = "d" * 5000
+        err = self.refusal(tmp_path, capsys, f'{{"blocks": {self.BLOCKS}, "{key}": 1, "{key}": 2}}')
+        assert err == f'duplicate key "{key[: MAX_ECHO_LENGTH - 1]}... (5002 characters)\n'
+
+    def test_a_list_valued_size(self, tmp_path, capsys):
+        items = list(range(300_000))
+        spec = json.dumps({"blocks": [{"eigenvalue": "1", "size": items}]})
+        err = self.refusal(tmp_path, capsys, spec)
+        shown = repr(items)[:MAX_ECHO_LENGTH]
+        assert err == (
+            f"invalid Jordan spec: expected an integer, got list {shown}... "
+            f"({len(repr(items))} characters)\n"
+        )
+
+    def test_texts_up_to_the_limit_are_echoed_whole(self, tmp_path, capsys):
+        key = "k" * (MAX_ECHO_LENGTH - 2)  # quoted, exactly MAX_ECHO_LENGTH
+        err = self.refusal(tmp_path, capsys, f'{{"blocks": {self.BLOCKS}, "{key}": 1}}')
+        assert err == f'invalid Jordan spec: unknown key "{key}" in the spec\n'
 
 
 class TestExitCodes:

@@ -24,7 +24,7 @@ from strongrev.reversal import (
     sl_reverser_witness,
     upper_toeplitz,
 )
-from strongrev.scalars import GaussianRational, I, MINUS_ONE, ONE, ZERO
+from strongrev.scalars import GaussianRational, I, MINUS_ONE, ONE, ZERO, from_triple, key_pair
 
 G = GaussianRational
 HALF = G(Fraction(1, 2))
@@ -320,14 +320,32 @@ class TestClassify:
 
     @given(PAIRING_BLOCKS, st.randoms(use_true_random=False))
     def test_same_report_on_shared_and_separate_equal_eigenvalues(self, blocks, rnd):
-        # the pool values are shared objects with kept inverse keys; the
-        # copies are fresh, some with their key read before classify
+        # the pool values are shared objects with kept key pairs; the copies
+        # are fresh, some with their pair read before classify, through
+        # key_pair or through inverse_key, and the rest unread
         rnd.shuffle(blocks)
         copies = [(G(eig.re, eig.im), size) for eig, size in blocks]
         for eig, _ in copies:
-            if rnd.random() < 0.5:
-                eig.inverse_key
+            read = rnd.choice([key_pair, lambda z: z.inverse_key, None])
+            if read is not None:
+                read(eig)
         assert classify(JordanSpec(copies)) == classify(JordanSpec(blocks))
+
+    @pytest.mark.parametrize("read_first", [False, True])
+    def test_only_blocks_at_one_and_minus_one_are_unit_blocks(self, read_first):
+        # equal triples tell a +-1 block: i and -i are each other's inverse,
+        # 2 and 1/2 likewise, and 2/2 and -3/3 are 1 and -1 built unreduced
+        eigs = [G(Fraction(2, 2)), from_triple(-3, 0, 3), I, -I, G(2), G(Fraction(1, 2))]
+        if read_first:
+            for eig in eigs:
+                key_pair(eig)
+        spec = JordanSpec(zip(eigs, [3, 2, 1, 1, 4, 4]))
+        report = classify(spec)
+        assert report.plus_sizes == (3,) and report.minus_sizes == (2,)
+        assert {spec.blocks[idx] for idx in report.singletons} == {(MINUS_ONE, 2), (ONE, 3)}
+        paired = {frozenset((spec.blocks[i][0], spec.blocks[j][0])) for i, j in report.pairs}
+        assert paired == {frozenset((I, -I)), frozenset((G(2), G(Fraction(1, 2))))}
+        assert report.reversible and report == reference_classify(spec)
 
     def test_reports_are_frozen(self):
         report = classify(spec_of((1, 2), (2, 1), (HALF, 1)))

@@ -1,3 +1,4 @@
+import copy
 import pickle
 import random
 import sys
@@ -14,6 +15,9 @@ from strongrev.scalars import (
     ONE,
     ScalarParseError,
     ZERO,
+    from_triple,
+    inverse_triple,
+    key_pair,
     parse,
 )
 
@@ -347,26 +351,55 @@ class TestDifferential:
             G(*bad)
 
 
+def _scalar_routes(x, y):
+    """The value of x reached by each way a scalar object is made."""
+    z = G(*x)
+    return [
+        z,
+        G(Fraction(x[0]), Fraction(x[1])),
+        from_triple(*(3 * v for v in z.triple)),
+        parse(str(z)),
+        (z + G(*y)) - G(*y),
+        z * ONE,
+        -(-z),
+    ]
+
+
 class TestInverseKey:
-    @given(x=pairs, read_first=st.booleans())
-    def test_kept_key_is_the_inverse_triple_and_invisible(self, x, read_first):
-        z, twin = G(*x), G(*x)
-        if read_first and z:
-            twin.inverse_key
-        if not z:
-            with pytest.raises(ZeroDivisionError):
-                z.inverse_key
-            return
-        seen = (repr(z), hash(z), pickle.dumps(z))
-        key = z.inverse_key
-        assert key == z.inverse().triple
-        assert z.inverse_key is key  # kept, not worked out again
-        assert (repr(z), hash(z), pickle.dumps(z)) == seen
-        assert z == twin and hash(z) == hash(twin) and repr(z) == repr(twin)
-        back = pickle.loads(pickle.dumps(z))
-        assert back == z and back.inverse_key == key
-        with pytest.raises(AttributeError):
-            z._inverse = key
-        with pytest.raises(AttributeError):
-            del z._inverse
-        assert z.inverse_key is key
+    @given(x=pairs, y=pairs, read_first=st.booleans())
+    def test_kept_key_is_the_inverse_triple_and_invisible(self, x, y, read_first):
+        for z in _scalar_routes(x, y):
+            twin = G(*x)
+            if not z:
+                with pytest.raises(ZeroDivisionError):
+                    z.inverse_key
+                with pytest.raises(ZeroDivisionError):
+                    key_pair(z)
+                assert not hasattr(z, "_keys")
+                assert repr(z) == repr(twin) and pickle.dumps(z) == pickle.dumps(twin)
+                continue
+            if read_first:
+                twin.inverse_key
+            expected = (z.triple, inverse_triple(*z.triple))
+            seen = (repr(z), hash(z), pickle.dumps(z))
+            assert not hasattr(z, "_keys")
+            # the first read goes through inverse_key or through key_pair
+            if read_first:
+                assert z.inverse_key == expected[1]
+            else:
+                assert key_pair(z) == expected
+            pair = z._keys
+            assert pair == expected and expected[1] == z.inverse().triple
+            assert z.inverse_key is pair[1]  # kept, not worked out again
+            assert (repr(z), hash(z), pickle.dumps(z)) == seen
+            assert z == twin and hash(z) == hash(twin) and repr(z) == repr(twin)
+            assert pickle.dumps(z) == pickle.dumps(twin)
+            for back in (pickle.loads(pickle.dumps(z)), copy.copy(z), copy.deepcopy(z)):
+                assert back == z and hash(back) == hash(z) and repr(back) == repr(z)
+                assert not hasattr(back, "_keys")
+                assert back.inverse_key == pair[1] and back._keys == pair
+            with pytest.raises(AttributeError):
+                z._keys = pair
+            with pytest.raises(AttributeError):
+                del z._keys
+            assert z._keys is pair
