@@ -15,10 +15,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import accumulate
 
 from . import reversal, verify
 from .canonical import JordanSpec, weyr_form
-from .matrices import ExactMatrix, SingularMatrixError, _read_a, format_grid
+from .matrices import ExactMatrix, SingularMatrixError, format_grid
 from .partitions import Partition
 from .scalars import MINUS_ONE, ZERO, as_int, echo, json_fields, parse
 
@@ -318,21 +319,19 @@ def classify_text(p: dict) -> str:
 
 
 def _squares_to_minus_identity(p: dict) -> bool:
-    """g^2 = -I for the a and g of a witness payload, read from their text,
-    one column of g^2 at a time: column q is formed from column q of g and
-    the columns of g that its nonzeros reach, and only those are parsed.
+    """g^2 = -I for the g of a witness payload, read from its text, one
+    column of g^2 at a time: column q is formed from column q of g and the
+    columns of g that its nonzeros reach, and only those are parsed.
 
-    If g reverses a and a is upper bidiagonal, g^2 commutes with a (the
-    lemma of check_witness).  Within a run p..q of a, e_{j-1} is
-    (a - a_jj) e_j / a_{j-1,j}, so a column q of g^2 equal to -e_q makes
-    every column of the run equal to -e_j, and only the run-end columns are
-    formed.  Otherwise every column is."""
+    If g reverses a, g^2 commutes with a (the lemma of check_witness).  The
+    a of a payload is the Jordan matrix of its spec, and within a block
+    e_{j-1} is (a - a_jj) e_j, so a column q of g^2 equal to -e_q at the
+    block's end makes the whole block -I; only those columns are formed.
+    Otherwise every column is."""
     entries = p["g"]["entries"]
     ends = range(len(entries))
     if p["verification"]["reverses"]:
-        starts = _read_a(ExactMatrix.from_json_dict(p["a"]))[0]
-        if starts is not None:
-            ends = [s - 1 for s in starts[1:]] + [len(entries) - 1]
+        ends = [q - 1 for q in accumulate(b["size"] for b in p["spec"]["blocks"])]
     for q in ends:
         square = [ZERO] * len(entries)  # column q of g^2
         for k, row in enumerate(entries):

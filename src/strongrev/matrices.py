@@ -517,21 +517,20 @@ def _read_a(a: ExactMatrix):
 
 
 def _square_difference(
-    g: ExactMatrix, sign: int = 1, starts: list[int] | None = None, columns=None
+    g: ExactMatrix, starts: list[int] | None = None, columns=None
 ) -> tuple[int, int] | None:
-    """first_difference of g * g and sign * I (sign 1 or -1), read from the
-    rows of g * g at the indices starts, or at every index if starts is None;
-    columns, if given, are the :func:`_columns` of g's numerators.
+    """first_difference of g * g and I, read from the rows of g * g at the
+    indices starts, or at every index if starts is None; columns, if given,
+    are the :func:`_columns` of g's numerators.
 
-    Pass the starts of _read_a(a) only if a g a = g;
-    check_witness shows why the rows at the run starts then decide
-    g^2 = sign * I, and why the first of them that differs holds the first
-    difference.
+    Pass the starts of _read_a(a) only if a g a = g; check_witness shows why
+    the rows at the run starts then decide g^2 = I, and why the first of
+    them that differs holds the first difference.
     """
     rows, columns = range(g.rows) if starts is None else starts, columns or _columns(g._re, g._im)
     out_re, out_im = _product([g._re[p] for p in rows], [g._im[p] for p in rows], columns)
-    # Over the numerators G = d g, g^2 = sign * I reads G^2 = sign * d^2 * I.
-    s = sign * g._d * g._d
+    # Over the numerators G = d g, g^2 = I reads G^2 = d^2 * I.
+    s = g._d * g._d
     for p, row_re, row_im in zip(rows, out_re, out_im):
         row_re[p] -= s
         if any(row_re) or any(row_im):
@@ -709,12 +708,12 @@ def check_witness(a: ExactMatrix, g: ExactMatrix) -> VerificationReport:
     p..q joined by nonzero superdiagonal entries.  Within a run
     e_{j+1}^T = e_j^T (a - a_jj) / a_{j,j+1}, so e_j^T c = (e_p^T c) P_j(a)
     for a polynomial P_j with e_j^T = e_p^T P_j(a); a row p of c equal to
-    sign * e_p^T (sign 1 or -1) makes row j equal to sign * e_j^T
-    throughout the run.  So only the rows of g^2 at the run starts are
-    computed.  A failing start row p is the first differing row of its run,
-    so the first failing start row holds the first difference of g^2 and
-    I.  Every row of g^2 is computed when a g a != g or a is not
-    upper bidiagonal; a diagonal a has a run start at every index.
+    e_p^T makes row j equal to e_j^T throughout the run.  So only the rows
+    of g^2 at the run starts are computed.  A failing start row p is the
+    first differing row of its run, so the first failing start row holds the
+    first difference of g^2 and I.  Every row of g^2 is computed when
+    a g a != g or a is not upper bidiagonal; a diagonal a has a run start at
+    every index.
 
     An involution has eigenvalues 1 and -1 only, so its determinant is
     read from its trace; only a g with g^2 != I is eliminated for det g,
@@ -731,7 +730,7 @@ def _check(a: ExactMatrix, g: ExactMatrix, reading=None) -> VerificationReport:
     starts, a_columns = reading or _read_a(a)
     columns = _columns(g._re, g._im)
     reverses = _reverses(a, g, a_columns, columns)
-    pos = _square_difference(g, 1, starts if reverses else None, columns)
+    pos = _square_difference(g, starts if reverses else None, columns)
     det = _involution_det(g) if pos is None else g.det()
     residuals: list[tuple[str, tuple[int, int] | None]] = []
     if not det:

@@ -47,7 +47,7 @@ class ScalarParseError(ValueError):
     """Text does not match the scalar grammar."""
 
     def __init__(self, text: str, position: int, reason: str = "malformed scalar"):
-        super().__init__(f"{reason} at position {position}: {text!r}")
+        super().__init__(f"{reason} at position {position}: {echo(repr(text))}")
         self.text = text
         self.position = position
 
@@ -227,7 +227,7 @@ class GaussianRational:
 
     @property
     def sort_key(self) -> tuple[Fraction, Fraction]:
-        """Fixed total order on Q(i) used for canonical block ordering."""
+        """Canonical block order on Q(i); JordanSpec ranks by int pairs in this order."""
         return (self.re, self.im)
 
     def __repr__(self) -> str:

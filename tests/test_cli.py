@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import math
@@ -14,10 +15,21 @@ from hypothesis import given, settings, strategies as st
 from oracles import reference_parse
 import strongrev.canonical as canonical_module
 import strongrev.matrices as matrices_module
-from strongrev.cli import MAX_DIMENSION, MAX_ENTRY_LENGTH, MAX_SELFTEST_N, _json_text, main, witness_text
+from strongrev.cli import (
+    MAX_DIMENSION,
+    MAX_ENTRY_LENGTH,
+    MAX_SELFTEST_N,
+    _json_text,
+    _squares_to_minus_identity,
+    cmd_witness,
+    main,
+    witness_text,
+)
 from strongrev.canonical import JordanSpec, jordan_matrix
 from strongrev.matrices import ExactMatrix
+from strongrev.reversal import classify
 from strongrev.scalars import MAX_ECHO_LENGTH, GaussianRational
+from strongrev.verify import DEFAULT_POOL, SpecGenerator
 
 G = GaussianRational
 
@@ -146,6 +158,24 @@ class TestWitness:
             "transcript": [],
         }
         assert "note: g squares to -I" in witness_text(payload).splitlines()
+
+    def test_note_equals_the_dense_square_on_reversible_only_specs(self, tmp_path):
+        # the note takes its run ends from the spec's blocks; on the JSON
+        # round trip of each reversible-only spec's --sl-only payload it must
+        # agree with the dense square of g
+        notes = []
+        for spec in SpecGenerator(6, DEFAULT_POOL).specs():
+            report = classify(spec)
+            if not report.reversible or report.strongly_reversible:
+                continue
+            path = write_json(tmp_path / "spec.json", spec.to_json_dict())
+            payload, code = cmd_witness(argparse.Namespace(input=path, sl_only=True))
+            payload = json.loads(json.dumps(payload))
+            g = ExactMatrix.from_json_dict(payload["g"])
+            note = _squares_to_minus_identity(payload)
+            assert code == 0 and note == (g * g == -ExactMatrix.identity(g.rows))
+            notes.append(note)
+        assert (len(notes), sum(notes)) == (44, 28)
 
     def test_not_reversible_exit(self, tmp_path, capsys):
         path = spec_file(tmp_path, [("2", 1)])
@@ -570,6 +600,29 @@ class TestEchoLimit:
         assert err == (
             f"invalid Jordan spec: expected an integer, got list {shown}... "
             f"({len(repr(items))} characters)\n"
+        )
+
+    def test_a_long_malformed_eigenvalue(self, tmp_path, capsys):
+        text = "1/" + "x" * 9990
+        spec = json.dumps({"blocks": [{"eigenvalue": text, "size": 1}]})
+        err = self.refusal(tmp_path, capsys, spec)
+        shown = repr(text)[:MAX_ECHO_LENGTH]
+        assert err == (
+            f"invalid Jordan spec: malformed scalar at position 0: {shown}... "
+            f"({len(text) + 2} characters)\n"
+        )
+
+    def test_a_long_malformed_matrix_entry(self, tmp_path, capsys):
+        text = "1/" + "x" * (MAX_ENTRY_LENGTH - 10)
+        a = write_json(tmp_path / "a.json", {"rows": 1, "cols": 1, "entries": [["1"]]})
+        g = write_json(tmp_path / "g.json", {"rows": 1, "cols": 1, "entries": [[text]]})
+        assert main(["verify", "--matrix-a", a, "--matrix-g", g]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        shown = repr(text)[:MAX_ECHO_LENGTH]
+        assert captured.err == (
+            f"error: {g}: invalid matrix: malformed scalar at position 0: {shown}... "
+            f"({len(text) + 2} characters)\n"
         )
 
     def test_texts_up_to_the_limit_are_echoed_whole(self, tmp_path, capsys):

@@ -13,11 +13,13 @@ import contextlib
 import io
 import json
 import os
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
 
 from strongrev.cli import _build_parser, main
+from strongrev.matrices import ExactMatrix, _read_a
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -97,6 +99,24 @@ def test_text_is_rendered_from_json(case):
     render = _build_parser().parse_args(CASES[case]).render
     text = render(json.loads(out)) + "\n"
     assert text.encode() == (GOLDEN / f"{case}.out").read_bytes()
+
+
+WITNESS_CASES = sorted(
+    case
+    for case in CASES
+    if case.startswith("witness-") and case.endswith("-json") and _recorded_output(case)
+)
+
+
+@pytest.mark.parametrize("case", WITNESS_CASES)
+def test_runs_of_a_are_the_blocks_of_the_spec(case):
+    """The -I note of the text output takes the run ends of a from the
+    block ends of the payload's spec; they are the run ends that _read_a
+    finds in the payload's a."""
+    payload = json.loads((GOLDEN / f"{case}.out").read_text())
+    starts = _read_a(ExactMatrix.from_json_dict(payload["a"]))[0]
+    sizes = [block["size"] for block in payload["spec"]["blocks"]]
+    assert [q - 1 for q in accumulate(sizes)] == [s - 1 for s in starts[1:]] + [sum(sizes) - 1]
 
 
 if __name__ == "__main__":
